@@ -17,7 +17,7 @@
 //! Q-Tag-style script (25 monitoring pixels, 10 Hz heartbeat) on an
 //! in-view 300×250 ad — and ticks every session for `--frames` frames.
 //! ~10 % of sessions follow a deterministic scroll schedule; the rest
-//! are static, which is exactly the fleet shape the spatial index's
+//! are static, which is exactly the fleet shape the page cache's
 //! epoch fast path exploits. Reports session-frames/sec/core for the
 //! naive full-walk baseline and the indexed engine, their speedup, and
 //! a paint-sum checksum that must be bit-identical across modes.
@@ -489,7 +489,7 @@ fn fleet_main(fleet: u64) {
         .max(1);
     let equivalence = arg("--equivalence").unwrap_or(0);
 
-    out.section("§5 resident fleet — spatially-indexed render path");
+    out.section("§5 resident fleet — epoch-validated page cache");
     println!(
         "  fleet: {fleet} sessions x {frames} frames, {workers} worker(s), \
          {} probes @ {HEARTBEAT_HZ} Hz, 1/{SCROLL_EVERY_NTH} sessions scrolling, \

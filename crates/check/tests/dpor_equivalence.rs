@@ -1,12 +1,12 @@
 //! Satellite: soundness guards for the sleep-set reduction.
 //!
-//! 1. **Equivalence property** (proptest over seeds × model
-//!    parameters): reduced and unreduced exploration must agree on the
-//!    verdict — both pass, or both fail with the same failure kind
-//!    (deadlock stays deadlock, race stays race). Sleep sets only drop
-//!    interleavings that permute independent operations, so no failure
-//!    class can become unreachable; the reduced run may visit fewer
-//!    schedules, never more.
+//! 1. **Equivalence property** (proptest over seeds at two threads,
+//!    the three-thread trees once): reduced and unreduced exploration
+//!    must agree on the verdict — both pass, or both fail with the same
+//!    failure kind (deadlock stays deadlock, race stays race). Sleep
+//!    sets only drop interleavings that permute independent operations,
+//!    so no failure class can become unreachable; the reduced run may
+//!    visit fewer schedules, never more.
 //!
 //! 2. **Budget regression**: pruned (sleep-set-redundant) and aborted
 //!    executions must not burn `max_schedules` budget — a tree whose
@@ -74,14 +74,14 @@ where
 }
 
 proptest! {
-    // Each case explores two full decision trees; keep the model
-    // parameters small and the case count modest.
+    // Each case explores two full decision trees per model; keep the
+    // models small and the case count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn passing_models_agree(seed in any::<u64>(), threads in 2usize..=3) {
-        assert_equivalent(seed, || models::mutex_counter(threads, 1));
-        assert_equivalent(seed, || models::independent_counters(threads));
+    fn passing_models_agree(seed in any::<u64>()) {
+        assert_equivalent(seed, || models::mutex_counter(2, 1));
+        assert_equivalent(seed, || models::independent_counters(2));
         assert_equivalent(seed, models::condvar_handoff);
     }
 
@@ -91,6 +91,16 @@ proptest! {
         assert_equivalent(seed, || models::mini_channel_last_sender_drop(false));
         assert_equivalent(seed, || models::relaxed_counter_handoff(false));
     }
+}
+
+/// The explored tree depends only on the thread count (the seed merely
+/// orders the DFS), so the three-thread trees are walked once rather
+/// than once per proptest case. `independent_counters(3)` is held to
+/// the same verdict by the test below, which already walks its
+/// 293k-schedule unreduced tree next to the reduced one.
+#[test]
+fn passing_models_agree_at_three_threads() {
+    assert_equivalent(0x51AD_C0DE, || models::mutex_counter(3, 1));
 }
 
 #[test]

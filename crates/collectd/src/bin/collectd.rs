@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! collectd [--bind ADDR] [--max-conns N] [--read-timeout-ms MS]
-//!          [--workers N] [--capacity N] [--shards N] [--batch N]
+//!          [--capacity N] [--shards N] [--batch N]
 //!          [--reactor] [--reactor-workers N] [--ack-buffer-cap BYTES]
 //!          [--duration-secs S] [--metrics PATH] [--metrics-json PATH]
 //!          [--wal-dir DIR] [--sync none|batch|record]
@@ -80,7 +80,6 @@ fn parse_args() -> BinArgs {
                 out.cfg.read_timeout =
                     Duration::from_millis(value(i).parse().expect("--read-timeout-ms: u64"))
             }
-            "--workers" => out.cfg.ingest_workers = value(i).parse().expect("--workers: usize"),
             "--capacity" => out.cfg.inlet_capacity = value(i).parse().expect("--capacity: usize"),
             "--shards" => out.shards = value(i).parse().expect("--shards: usize"),
             "--batch" => out.cfg.batch = value(i).parse().expect("--batch: usize"),
@@ -107,7 +106,7 @@ fn parse_args() -> BinArgs {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: collectd [--bind ADDR] [--max-conns N] [--read-timeout-ms MS] \
-                     [--workers N] [--capacity N] [--shards N] [--batch N] \
+                     [--capacity N] [--shards N] [--batch N] \
                      [--reactor] [--reactor-workers N] [--ack-buffer-cap BYTES] \
                      [--duration-secs S] [--metrics PATH] [--metrics-json PATH] \
                      [--wal-dir DIR] [--sync none|batch|record]"

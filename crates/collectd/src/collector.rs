@@ -70,13 +70,21 @@ impl Collector {
         // (collector sockets, ingest appliers, connection spans)
         // registers into this single observable surface.
         let registry = Arc::new(Registry::new());
-        let trace = Arc::new(TraceRing::new(cfg.trace_capacity));
+        /// Capacity of the daemon's trace-event ring (per-stage spans:
+        /// decode → inlet → shard apply → ack). The ring overwrites its
+        /// oldest events when full; it never blocks or allocates on the
+        /// hot path.
+        const TRACE_CAPACITY: usize = 4096;
+        let trace = Arc::new(TraceRing::new(TRACE_CAPACITY));
         let metrics = IngestMetrics::new(&registry, Some(Arc::clone(&trace)));
 
         let ingest = IngestService::start_sharded(
             store.clone(),
             IngestConfig {
-                workers: cfg.ingest_workers,
+                // Parser workers serve only the chunk path, which the
+                // daemon never feeds: connections decode in-line and use
+                // the inlet.
+                workers: 1,
                 batch: cfg.batch,
                 inlet_capacity: cfg.inlet_capacity,
                 metrics: Some(Arc::clone(&metrics)),
@@ -429,9 +437,10 @@ fn accept_loop(listener: TcpListener, ctx: ConnCtx) {
     // OS accept backlog. Serve them too — their readers drain any
     // buffered bytes before exiting — so a graceful shutdown never
     // strands data behind an unaccepted connection. The drain is
-    // bounded by `drain_grace`: without a deadline, clients that keep
+    // bounded by `DRAIN_GRACE`: without a deadline, clients that keep
     // connecting during shutdown would be accepted forever.
-    let drain_deadline = Instant::now() + ctx.cfg.drain_grace;
+    const DRAIN_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
+    let drain_deadline = Instant::now() + DRAIN_GRACE;
     while Instant::now() < drain_deadline {
         match listener.accept() {
             Ok((stream, _peer)) => supervise(stream, &ctx, &mut admitter),
@@ -475,265 +484,278 @@ mod tests {
         }
     }
 
-    fn start_default() -> Collector {
+    fn start(cfg: CollectorConfig) -> Collector {
         let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        Collector::start(CollectorConfig::default(), store).expect("bind localhost")
+        Collector::start(cfg, store).expect("bind localhost")
+    }
+
+    /// Runs a socket-lifecycle scenario once per serving mode, handing
+    /// it the default config with `reactor` set. The two modes share
+    /// one wire protocol and one accounting, so every assertion must
+    /// hold bit-identically in both.
+    fn in_both_modes(scenario: impl Fn(CollectorConfig)) {
+        for reactor in [false, true] {
+            eprintln!("serving mode: reactor={reactor}");
+            scenario(CollectorConfig {
+                reactor,
+                ..CollectorConfig::default()
+            });
+        }
+    }
+
+    /// Polls until `done` holds (bounded at 5 s).
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !done() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]
     fn binary_client_round_trips_through_the_daemon() {
-        let collector = start_default();
-        collector.store().lock().record_served(served(42));
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        let stream = encode_frames(&[
-            beacon(42, 0, EventKind::Measurable),
-            beacon(42, 1, EventKind::InView),
-        ])
-        .unwrap();
-        sock.write_all(&stream).unwrap();
-        drop(sock);
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.frames_decoded, 2);
-        assert_eq!(ops.ingest.beacons, 2);
-        assert!(ops.conserves(2), "{ops:?}");
+        in_both_modes(|cfg| {
+            let collector = start(cfg);
+            collector.store().lock().record_served(served(42));
+            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+            let stream = encode_frames(&[
+                beacon(42, 0, EventKind::Measurable),
+                beacon(42, 1, EventKind::InView),
+            ])
+            .unwrap();
+            sock.write_all(&stream).unwrap();
+            drop(sock);
+            let ops = collector.shutdown();
+            assert_eq!(ops.collector.frames_decoded, 2);
+            assert_eq!(ops.ingest.beacons, 2);
+            assert!(ops.conserves(2), "{ops:?}");
+            assert_eq!(ops.collector.connections_active, 0);
+            assert_eq!(ops.collector.accept_errors, 0);
+        });
     }
 
+    /// JSON is sniffed per connection, a garbage line costs one corrupt
+    /// frame, and a final beacon with no trailing newline still lands.
     #[test]
     fn json_client_is_sniffed_and_decoded() {
-        let collector = start_default();
-        let store = Arc::clone(collector.store());
-        store.lock().record_served(served(7));
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        let mut payload = json::encode(&beacon(7, 0, EventKind::Measurable)).unwrap();
-        payload.push('\n');
-        payload.push_str(&json::encode(&beacon(7, 1, EventKind::InView)).unwrap());
-        payload.push('\n');
-        payload.push_str("this is not json\n");
-        sock.write_all(payload.as_bytes()).unwrap();
-        drop(sock);
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.frames_decoded, 2);
-        assert_eq!(ops.collector.corrupt_frames, 1);
-        assert!(ops.conserves(3), "{ops:?}");
-        assert_eq!(store.lock().verdict(7), (true, true));
+        in_both_modes(|cfg| {
+            let collector = start(cfg);
+            let store = Arc::clone(collector.store());
+            store.lock().record_served(served(7));
+            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+            let mut payload = json::encode(&beacon(7, 0, EventKind::Measurable)).unwrap();
+            payload.push('\n');
+            payload.push_str("this is not json\n");
+            // Final beacon: complete JSON, no trailing newline.
+            payload.push_str(&json::encode(&beacon(7, 1, EventKind::InView)).unwrap());
+            sock.write_all(payload.as_bytes()).unwrap();
+            drop(sock);
+            let ops = collector.shutdown();
+            assert_eq!(ops.collector.frames_decoded, 2, "{ops:?}");
+            assert_eq!(ops.collector.corrupt_frames, 1);
+            assert!(ops.conserves(3), "{ops:?}");
+            assert_eq!(store.lock().verdict(7), (true, true));
+        });
     }
 
     #[test]
     fn connection_cap_rejects_excess_clients() {
-        let cfg = CollectorConfig {
-            max_connections: 1,
-            ..CollectorConfig::default()
-        };
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        let collector = Collector::start(cfg, store).unwrap();
-        let _first = TcpStream::connect(collector.local_addr()).unwrap();
-        // Give the acceptor time to register the first connection.
-        std::thread::sleep(Duration::from_millis(100));
-        let _second = TcpStream::connect(collector.local_addr()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while collector
-            .stats()
-            .connections_rejected
-            .load(Ordering::Relaxed)
-            == 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.connections_accepted, 1);
-        assert_eq!(ops.collector.connections_rejected, 1);
-        // Every reader thread is joined by shutdown, so the gauge
-        // must be fully restored.
-        assert_eq!(ops.collector.connections_active, 0);
+        in_both_modes(|cfg| {
+            let collector = start(CollectorConfig {
+                max_connections: 1,
+                ..cfg
+            });
+            let _first = TcpStream::connect(collector.local_addr()).unwrap();
+            // Give the acceptor time to register the first connection.
+            std::thread::sleep(Duration::from_millis(100));
+            let _second = TcpStream::connect(collector.local_addr()).unwrap();
+            let stats = collector.stats();
+            wait_until(|| stats.connections_rejected.load(Ordering::Relaxed) != 0);
+            let ops = collector.shutdown();
+            assert_eq!(ops.collector.connections_accepted, 1);
+            assert_eq!(ops.collector.connections_rejected, 1);
+            // Every connection is retired by shutdown, so the gauge
+            // must be fully restored.
+            assert_eq!(ops.collector.connections_active, 0);
+        });
     }
 
     #[test]
     fn idle_connection_is_timed_out() {
-        let cfg = CollectorConfig {
-            read_timeout: Duration::from_millis(50),
-            poll_interval: Duration::from_millis(10),
-            ..CollectorConfig::default()
-        };
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        let collector = Collector::start(cfg, store).unwrap();
-        let _sock = TcpStream::connect(collector.local_addr()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while collector
-            .stats()
-            .connections_timed_out
-            .load(Ordering::Relaxed)
-            == 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.connections_timed_out, 1);
+        in_both_modes(|cfg| {
+            let collector = start(CollectorConfig {
+                read_timeout: Duration::from_millis(50),
+                poll_interval: Duration::from_millis(10),
+                ..cfg
+            });
+            let _sock = TcpStream::connect(collector.local_addr()).unwrap();
+            let stats = collector.stats();
+            wait_until(|| stats.connections_timed_out.load(Ordering::Relaxed) != 0);
+            let ops = collector.shutdown();
+            assert_eq!(ops.collector.connections_timed_out, 1);
+            assert_eq!(ops.collector.connections_active, 0);
+        });
     }
 
     #[test]
     fn abrupt_disconnect_mid_frame_loses_only_the_partial_frame() {
-        let collector = start_default();
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        let stream = encode_frames(&[beacon(1, 0, EventKind::Measurable)]).unwrap();
-        let mut cut = encode_frames(&[beacon(1, 1, EventKind::InView)]).unwrap();
-        cut.truncate(cut.len() / 2); // die mid-frame
-        sock.write_all(&stream).unwrap();
-        sock.write_all(&cut).unwrap();
-        drop(sock);
-        let ops = collector.shutdown();
-        // Only the fully-written beacon counts as sent.
-        assert_eq!(ops.collector.frames_decoded, 1);
-        assert_eq!(ops.collector.corrupt_frames, 0);
-        assert!(ops.conserves(1), "{ops:?}");
+        in_both_modes(|cfg| {
+            let collector = start(cfg);
+            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+            let stream = encode_frames(&[beacon(1, 0, EventKind::Measurable)]).unwrap();
+            let mut cut = encode_frames(&[beacon(1, 1, EventKind::InView)]).unwrap();
+            cut.truncate(cut.len() / 2); // die mid-frame
+            sock.write_all(&stream).unwrap();
+            sock.write_all(&cut).unwrap();
+            drop(sock);
+            let ops = collector.shutdown();
+            // Only the fully-written beacon counts as sent.
+            assert_eq!(ops.collector.frames_decoded, 1);
+            assert_eq!(ops.collector.corrupt_frames, 0);
+            assert!(ops.conserves(1), "{ops:?}");
+        });
     }
 
     #[test]
     fn acked_client_gets_one_ack_per_accepted_frame_including_duplicates() {
         use qtag_wire::sender::{AckDecoder, AckKey, ACK_HELLO};
-        let collector = start_default();
-        collector.store().lock().record_served(served(42));
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        sock.set_read_timeout(Some(Duration::from_millis(200)))
+        in_both_modes(|cfg| {
+            let collector = start(cfg);
+            collector.store().lock().record_served(served(42));
+            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+            sock.set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
+            sock.write_all(&[ACK_HELLO]).unwrap();
+            // Two distinct beacons plus a retransmit of the first: the
+            // duplicate must be re-acked (the store already has it; the
+            // honest answer to the retry is "got it").
+            let stream = encode_frames(&[
+                beacon(42, 0, EventKind::Measurable),
+                beacon(42, 1, EventKind::InView),
+                beacon(42, 0, EventKind::Measurable),
+            ])
             .unwrap();
-        sock.write_all(&[ACK_HELLO]).unwrap();
-        // Two distinct beacons plus a retransmit of the first: the
-        // duplicate must be re-acked (the store already has it; the
-        // honest answer to the retry is "got it").
-        let stream = encode_frames(&[
-            beacon(42, 0, EventKind::Measurable),
-            beacon(42, 1, EventKind::InView),
-            beacon(42, 0, EventKind::Measurable),
-        ])
-        .unwrap();
-        sock.write_all(&stream).unwrap();
-        sock.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut raw = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut chunk = [0u8; 64];
-        while raw.len() < 30 && std::time::Instant::now() < deadline {
-            match sock.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => raw.extend_from_slice(&chunk[..n]),
-                Err(_) => {}
+            sock.write_all(&stream).unwrap();
+            sock.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut raw = Vec::new();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            let mut chunk = [0u8; 64];
+            while raw.len() < 30 && std::time::Instant::now() < deadline {
+                match sock.read(&mut chunk) {
+                    Ok(0) => break,
+                    Ok(n) => raw.extend_from_slice(&chunk[..n]),
+                    Err(_) => {}
+                }
             }
-        }
-        let mut dec = AckDecoder::new();
-        let mut keys = Vec::new();
-        dec.extend(&raw, &mut keys);
-        keys.sort();
-        assert_eq!(
-            keys,
-            vec![
-                AckKey {
-                    impression_id: 42,
-                    seq: 0
-                },
-                AckKey {
-                    impression_id: 42,
-                    seq: 0
-                },
-                AckKey {
-                    impression_id: 42,
-                    seq: 1
-                },
-            ],
-            "raw ack bytes: {raw:?}"
-        );
-        drop(sock);
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.acked_connections, 1);
-        assert_eq!(ops.collector.acks_sent, 3);
-        assert_eq!(ops.collector.frames_decoded, 3);
-        // Acks are coalesced: one write per read iteration, never one
-        // per frame beyond that.
-        assert!(
-            ops.collector.ack_flushes >= 1 && ops.collector.ack_flushes <= ops.collector.acks_sent,
-            "{ops:?}"
-        );
+            let mut dec = AckDecoder::new();
+            let mut keys = Vec::new();
+            dec.extend(&raw, &mut keys);
+            keys.sort();
+            let key = |seq| AckKey {
+                impression_id: 42,
+                seq,
+            };
+            assert_eq!(keys, vec![key(0), key(0), key(1)], "raw ack bytes: {raw:?}");
+            drop(sock);
+            let ops = collector.shutdown();
+            assert_eq!(ops.collector.acked_connections, 1);
+            assert_eq!(ops.collector.acks_sent, 3);
+            assert_eq!(ops.collector.frames_decoded, 3);
+            assert!(ops.conserves(3), "{ops:?}");
+            // Acks are coalesced: one write per read iteration, never one
+            // per frame beyond that.
+            assert!(
+                ops.collector.ack_flushes >= 1
+                    && ops.collector.ack_flushes <= ops.collector.acks_sent,
+                "{ops:?}"
+            );
+        });
     }
 
     /// A daemon over a multi-shard store aggregates every beacon to
     /// the right shard and conserves exactly, end to end over TCP.
     #[test]
     fn sharded_daemon_aggregates_across_shards() {
-        let store = ShardedStore::new(4);
-        for id in 0..32u64 {
-            store.record_served(served(id));
-        }
-        let collector =
-            Collector::start_sharded(CollectorConfig::default(), store.clone()).unwrap();
-        let beacons: Vec<Beacon> = (0..32u64)
-            .flat_map(|id| {
-                [
-                    beacon(id, 0, EventKind::Measurable),
-                    beacon(id, 1, EventKind::InView),
-                ]
-            })
-            .collect();
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        sock.write_all(&encode_frames(&beacons).unwrap()).unwrap();
-        drop(sock);
-        assert_eq!(collector.sharded_store().shard_count(), 4);
-        let ops = collector.shutdown();
-        assert_eq!(ops.ingest.beacons, 64);
-        assert_eq!(ops.ingest.rejected_after_shutdown, 0);
-        assert!(ops.conserves(64), "{ops:?}");
-        assert!(ops.decode_accounted(), "{ops:?}");
-        // Batched hand-off must have coalesced: far fewer channel ops
-        // than beacons even with 4 shards.
-        assert!(ops.ingest.beacon_batches < ops.ingest.beacons, "{ops:?}");
-        for id in 0..32u64 {
-            assert_eq!(store.verdict(id), (true, true), "impression {id}");
-        }
-        assert_eq!(store.unique_beacons(), 64);
+        in_both_modes(|cfg| {
+            let store = ShardedStore::new(4);
+            for id in 0..32u64 {
+                store.record_served(served(id));
+            }
+            let collector = Collector::start_sharded(cfg, store.clone()).unwrap();
+            let beacons: Vec<Beacon> = (0..32u64)
+                .flat_map(|id| {
+                    [
+                        beacon(id, 0, EventKind::Measurable),
+                        beacon(id, 1, EventKind::InView),
+                    ]
+                })
+                .collect();
+            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+            sock.write_all(&encode_frames(&beacons).unwrap()).unwrap();
+            drop(sock);
+            assert_eq!(collector.sharded_store().shard_count(), 4);
+            let ops = collector.shutdown();
+            assert_eq!(ops.ingest.beacons, 64);
+            assert_eq!(ops.ingest.rejected_after_shutdown, 0);
+            assert!(ops.conserves(64), "{ops:?}");
+            assert!(ops.decode_accounted(), "{ops:?}");
+            // Batched hand-off must have coalesced: far fewer channel ops
+            // than beacons even with 4 shards.
+            assert!(ops.ingest.beacon_batches < ops.ingest.beacons, "{ops:?}");
+            for id in 0..32u64 {
+                assert_eq!(store.verdict(id), (true, true), "impression {id}");
+            }
+            assert_eq!(store.unique_beacons(), 64);
+        });
     }
 
     #[test]
     fn corrupt_frames_earn_no_ack() {
         use qtag_wire::sender::ACK_HELLO;
-        let collector = start_default();
-        collector.store().lock().record_served(served(9));
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        sock.set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        sock.write_all(&[ACK_HELLO]).unwrap();
-        let good = encode_frames(&[beacon(9, 0, EventKind::Measurable)]).unwrap();
-        let mut bad = encode_frames(&[beacon(9, 1, EventKind::InView)]).unwrap();
-        let last = bad.len() - 1;
-        bad[last] ^= 0xFF; // fails the CRC, header stays honest
-        sock.write_all(&good).unwrap();
-        sock.write_all(&bad).unwrap();
-        sock.shutdown(std::net::Shutdown::Write).unwrap();
-        // Read to EOF: exactly one ack record may come back.
-        let mut raw = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut chunk = [0u8; 64];
-        while std::time::Instant::now() < deadline {
-            match sock.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => raw.extend_from_slice(&chunk[..n]),
-                Err(_) => {
-                    if raw.len() >= 10 {
-                        break;
+        in_both_modes(|cfg| {
+            let collector = start(cfg);
+            collector.store().lock().record_served(served(9));
+            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+            sock.set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
+            sock.write_all(&[ACK_HELLO]).unwrap();
+            let good = encode_frames(&[beacon(9, 0, EventKind::Measurable)]).unwrap();
+            let mut bad = encode_frames(&[beacon(9, 1, EventKind::InView)]).unwrap();
+            let last = bad.len() - 1;
+            bad[last] ^= 0xFF; // fails the CRC, header stays honest
+            sock.write_all(&good).unwrap();
+            sock.write_all(&bad).unwrap();
+            sock.shutdown(std::net::Shutdown::Write).unwrap();
+            // Read to EOF: exactly one ack record may come back.
+            let mut raw = Vec::new();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            let mut chunk = [0u8; 64];
+            while std::time::Instant::now() < deadline {
+                match sock.read(&mut chunk) {
+                    Ok(0) => break,
+                    Ok(n) => raw.extend_from_slice(&chunk[..n]),
+                    Err(_) => {
+                        if raw.len() >= 10 {
+                            break;
+                        }
                     }
                 }
             }
-        }
-        assert_eq!(raw.len(), 10, "one ack for the good frame only: {raw:?}");
-        drop(sock);
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.acks_sent, 1);
-        assert_eq!(ops.collector.corrupt_frames, 1);
-        assert!(ops.conserves(2), "{ops:?}");
+            assert_eq!(raw.len(), 10, "one ack for the good frame only: {raw:?}");
+            drop(sock);
+            let ops = collector.shutdown();
+            assert_eq!(ops.collector.acks_sent, 1);
+            assert_eq!(ops.collector.corrupt_frames, 1);
+            assert!(ops.conserves(2), "{ops:?}");
+        });
     }
 
     #[test]
     fn dropping_the_collector_does_not_hang() {
-        let collector = start_default();
-        let _sock = TcpStream::connect(collector.local_addr()).unwrap();
-        drop(collector);
+        in_both_modes(|cfg| {
+            let collector = start(cfg);
+            let _sock = TcpStream::connect(collector.local_addr()).unwrap();
+            drop(collector);
+        });
     }
 
     #[test]
@@ -750,125 +772,6 @@ mod tests {
         assert_eq!(accept_backoff(&emfile, slow), Duration::from_millis(250));
         let zero = Duration::ZERO;
         assert_eq!(accept_backoff(&emfile, zero), zero);
-    }
-
-    fn start_reactor(cfg: CollectorConfig) -> Collector {
-        let cfg = CollectorConfig {
-            reactor: true,
-            reactor_workers: 2,
-            ..cfg
-        };
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        Collector::start(cfg, store).expect("bind localhost")
-    }
-
-    /// The reactor daemon serves the binary protocol bit-identically
-    /// to the threaded daemon: same counters, same conservation.
-    #[test]
-    fn reactor_binary_client_round_trips() {
-        let collector = start_reactor(CollectorConfig::default());
-        collector.store().lock().record_served(served(42));
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        let stream = encode_frames(&[
-            beacon(42, 0, EventKind::Measurable),
-            beacon(42, 1, EventKind::InView),
-        ])
-        .unwrap();
-        sock.write_all(&stream).unwrap();
-        drop(sock);
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.frames_decoded, 2);
-        assert_eq!(ops.ingest.beacons, 2);
-        assert!(ops.conserves(2), "{ops:?}");
-        assert_eq!(ops.collector.connections_active, 0);
-        assert_eq!(ops.collector.accept_errors, 0);
-    }
-
-    /// Acked protocol over the reactor: per-frame acks arrive,
-    /// duplicates re-acked, same as the threaded mode.
-    #[test]
-    fn reactor_acked_client_receives_every_ack() {
-        use qtag_wire::sender::{AckDecoder, AckKey, ACK_HELLO};
-        let collector = start_reactor(CollectorConfig::default());
-        collector.store().lock().record_served(served(7));
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        sock.set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        sock.write_all(&[ACK_HELLO]).unwrap();
-        let stream = encode_frames(&[
-            beacon(7, 0, EventKind::Measurable),
-            beacon(7, 1, EventKind::InView),
-            beacon(7, 0, EventKind::Measurable), // retransmit: re-acked
-        ])
-        .unwrap();
-        sock.write_all(&stream).unwrap();
-        sock.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut raw = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut chunk = [0u8; 64];
-        while raw.len() < 30 && std::time::Instant::now() < deadline {
-            match sock.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => raw.extend_from_slice(&chunk[..n]),
-                Err(_) => {}
-            }
-        }
-        let mut dec = AckDecoder::new();
-        let mut keys = Vec::new();
-        dec.extend(&raw, &mut keys);
-        assert_eq!(keys.len(), 3, "raw ack bytes: {raw:?}");
-        assert!(keys.contains(&AckKey {
-            impression_id: 7,
-            seq: 1
-        }));
-        drop(sock);
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.acked_connections, 1);
-        assert_eq!(ops.collector.acks_sent, 3);
-        assert!(ops.conserves(3), "{ops:?}");
-    }
-
-    /// JSON sniffing works per connection on the reactor too, and the
-    /// unterminated-tail fix holds over a real socket.
-    #[test]
-    fn reactor_json_client_with_unterminated_tail() {
-        let collector = start_reactor(CollectorConfig::default());
-        let store = Arc::clone(collector.store());
-        store.lock().record_served(served(5));
-        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-        let mut payload = json::encode(&beacon(5, 0, EventKind::Measurable)).unwrap();
-        payload.push('\n');
-        // Final beacon: complete JSON, no trailing newline.
-        payload.push_str(&json::encode(&beacon(5, 1, EventKind::InView)).unwrap());
-        sock.write_all(payload.as_bytes()).unwrap();
-        drop(sock);
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.frames_decoded, 2, "{ops:?}");
-        assert!(ops.conserves(2), "{ops:?}");
-        assert_eq!(store.lock().verdict(5), (true, true));
-    }
-
-    #[test]
-    fn reactor_idle_connection_is_timed_out() {
-        let collector = start_reactor(CollectorConfig {
-            read_timeout: Duration::from_millis(50),
-            poll_interval: Duration::from_millis(10),
-            ..CollectorConfig::default()
-        });
-        let _sock = TcpStream::connect(collector.local_addr()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while collector
-            .stats()
-            .connections_timed_out
-            .load(Ordering::Relaxed)
-            == 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let ops = collector.shutdown();
-        assert_eq!(ops.collector.connections_timed_out, 1);
-        assert_eq!(ops.collector.connections_active, 0);
     }
 
     /// Many concurrent clients on a two-worker reactor: every beacon
@@ -913,13 +816,6 @@ mod tests {
         assert!(ops.conserves(2 * CONNS), "{ops:?}");
         assert!(ops.decode_accounted(), "{ops:?}");
         assert_eq!(store.unique_beacons(), 2 * CONNS);
-    }
-
-    #[test]
-    fn reactor_dropping_the_collector_does_not_hang() {
-        let collector = start_reactor(CollectorConfig::default());
-        let _sock = TcpStream::connect(collector.local_addr()).unwrap();
-        drop(collector);
     }
 
     fn served(id: u64) -> qtag_server::ServedImpression {

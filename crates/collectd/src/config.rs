@@ -25,10 +25,6 @@ pub struct CollectorConfig {
     /// binary path is already bounded by the wire format's
     /// [`qtag_wire::framing::MAX_FRAME_LEN`].
     pub max_line_len: usize,
-    /// Parser workers inside the embedded [`qtag_server::IngestService`]
-    /// (they serve the chunk path; connection threads decode in-line
-    /// and use the inlet, so 1 is normally enough).
-    pub ingest_workers: usize,
     /// Capacity of each store shard's bounded batch channel between
     /// connection threads and that shard's applier, counted in
     /// *batches*. When full, beacons are shed and counted rather than
@@ -38,17 +34,6 @@ pub struct CollectorConfig {
     /// embedded ingestion service's parser workers (connection threads
     /// batch naturally — one hand-off per socket read).
     pub batch: usize,
-    /// How long graceful shutdown keeps accepting from the OS backlog
-    /// before closing the listener. Connections already queued when
-    /// the shutdown flag flips are still served (so their buffered
-    /// beacons are not stranded), but clients that keep connecting
-    /// during shutdown cannot delay it past this grace window.
-    pub drain_grace: Duration,
-    /// Capacity of the daemon's trace-event ring (per-stage spans:
-    /// decode → inlet → shard apply → ack). The ring overwrites its
-    /// oldest events when full; it never blocks or allocates on the
-    /// hot path.
-    pub trace_capacity: usize,
     /// Serve connections on an epoll reactor (a few worker event
     /// loops, one non-blocking state machine per connection) instead
     /// of one blocking reader thread per connection. Identical wire
@@ -75,11 +60,8 @@ impl Default for CollectorConfig {
             read_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(10),
             max_line_len: 1024,
-            ingest_workers: 1,
             inlet_capacity: qtag_server::DEFAULT_INLET_CAPACITY,
             batch: qtag_server::DEFAULT_BATCH,
-            drain_grace: Duration::from_millis(250),
-            trace_capacity: 4096,
             reactor: false,
             reactor_workers: 2,
             ack_buffer_cap: 64 * 1024,

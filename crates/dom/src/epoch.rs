@@ -1,9 +1,9 @@
 //! Globally-unique mutation epochs.
 //!
-//! The render layer caches scene-derived state (spatial indexes over
-//! probe positions, composite states, visible sets) and needs a cheap,
-//! *sound* way to notice that a [`crate::Page`] or [`crate::Screen`] it
-//! looked at last frame has changed since. Per-object counters are not
+//! The render layer caches scene-derived state (probe projections,
+//! composite states, visible sets) and needs a cheap, *sound* way to
+//! notice that a [`crate::Page`] or [`crate::Screen`] it looked at
+//! last frame has changed since. Per-object counters are not
 //! enough: a cached `(window, tab)` slot can have its whole `Page`
 //! swapped for a different one whose private counter happens to hold
 //! the same value, silently validating a stale cache.

@@ -62,14 +62,12 @@ impl Frame {
 pub struct Page {
     frames: Vec<Frame>,
     root: FrameId,
-    /// Stamp of the last mutation of *any* kind (scrolls included).
-    /// Drawn from the process-wide epoch counter — see [`crate::epoch`].
-    mutation_epoch: u64,
     /// Stamp of the last mutation that can move content relative to
     /// **root-document coordinates**: adding/moving elements, embedding
-    /// iframes, scrolling *inner* frames. Root-frame scrolls bump only
-    /// `mutation_epoch` — projections to root-document space exclude
-    /// the root scroll, so layout-keyed caches survive page scrolling.
+    /// iframes, scrolling *inner* frames. Drawn from the process-wide
+    /// epoch counter — see [`crate::epoch`]. Root-frame scrolls leave it
+    /// alone — projections to root-document space exclude the root
+    /// scroll, so layout-keyed caches survive page scrolling.
     layout_epoch: u64,
 }
 
@@ -88,7 +86,6 @@ impl Page {
         Page {
             frames: vec![root],
             root: FrameId(0),
-            mutation_epoch: next_epoch(),
             layout_epoch: next_epoch(),
         }
     }
@@ -98,17 +95,11 @@ impl Page {
         self.root
     }
 
-    /// Stamp of the last mutation of any kind (scrolls included). Equal
-    /// stamps prove the page is observably unchanged; see
-    /// [`crate::epoch`] for why stamps are process-unique.
-    pub fn mutation_epoch(&self) -> u64 {
-        self.mutation_epoch
-    }
-
     /// Stamp of the last mutation that can move content in
     /// root-document coordinates (everything except root-frame
-    /// scrolls). Spatial indexes over root-document space are valid
-    /// exactly as long as this stamp holds still.
+    /// scrolls). Projections cached in root-document space are valid
+    /// exactly as long as this stamp holds still; see [`crate::epoch`]
+    /// for why stamps are process-unique.
     pub fn layout_epoch(&self) -> u64 {
         self.layout_epoch
     }
@@ -117,13 +108,6 @@ impl Page {
     /// root document (pessimistic: callers need not prove movement).
     fn touch_layout(&mut self) {
         self.layout_epoch = next_epoch();
-        self.mutation_epoch = self.layout_epoch;
-    }
-
-    /// Marks a mutation that leaves root-document layout intact (a
-    /// root-frame scroll: the view moved, the content did not).
-    fn touch_view(&mut self) {
-        self.mutation_epoch = next_epoch();
     }
 
     /// Number of frames in the page.
@@ -249,9 +233,7 @@ impl Page {
         f.scroll = Vector::new(offset.dx.clamp(0.0, max_x), offset.dy.clamp(0.0, max_y));
         // Root scrolls move the viewport, not the layout; inner-frame
         // scrolls shift child content in root-document coordinates.
-        if frame == root {
-            self.touch_view();
-        } else {
+        if frame != root {
             self.touch_layout();
         }
         Ok(())
@@ -578,9 +560,8 @@ mod tests {
     }
 
     #[test]
-    fn root_scroll_bumps_mutation_but_not_layout() {
+    fn root_scroll_leaves_layout_epoch_alone() {
         let mut page = Page::new(Origin::https("a"), Size::new(1000.0, 3000.0));
-        let m0 = page.mutation_epoch();
         let l0 = page.layout_epoch();
         page.scroll_frame_to(
             page.root(),
@@ -588,7 +569,6 @@ mod tests {
             Size::new(1000.0, 800.0),
         )
         .unwrap();
-        assert_ne!(page.mutation_epoch(), m0, "root scroll is a mutation");
         assert_eq!(page.layout_epoch(), l0, "root scroll leaves layout alone");
     }
 
@@ -607,11 +587,6 @@ mod tests {
             .unwrap();
         let l3 = page.layout_epoch();
         assert_ne!(l3, l2, "inner scroll moves content in root coords");
-        assert_eq!(
-            page.mutation_epoch(),
-            l3,
-            "layout bumps imply mutation bumps"
-        );
     }
 
     #[test]
@@ -632,11 +607,10 @@ mod tests {
     fn epochs_are_process_unique_across_pages() {
         let a = Page::new(Origin::https("a"), Size::new(1.0, 1.0));
         let b = Page::new(Origin::https("b"), Size::new(1.0, 1.0));
-        assert_ne!(a.mutation_epoch(), b.mutation_epoch());
         assert_ne!(a.layout_epoch(), b.layout_epoch());
         // Clones are content-identical, so sharing stamps is sound.
         let c = a.clone();
-        assert_eq!(a.mutation_epoch(), c.mutation_epoch());
+        assert_eq!(a.layout_epoch(), c.layout_epoch());
     }
 
     #[test]

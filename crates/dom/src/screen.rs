@@ -19,7 +19,7 @@ pub struct Screen {
     z_order: Vec<WindowId>,
     focused: Option<WindowId>,
     /// Stamp drawn on every potentially observable change (see
-    /// [`crate::Page::mutation_epoch`] for the epoch contract).
+    /// [`crate::epoch`] for the epoch contract).
     ///
     /// All fields of `Screen` are private, and every mutable path into a
     /// window, tab or page goes through a `&mut Screen` method — so an

@@ -5,14 +5,13 @@ use crate::clock::FrameClock;
 use crate::cpu::CpuLoadModel;
 use crate::env::DeviceProfile;
 use crate::script::{ScriptCtx, ScriptHost, TagScript};
-use crate::spatial::SpatialIndex;
 use crate::throttle::{
     composite_state, composite_state_with, paint_rate, timer_rate, CompositeState,
 };
-use crate::visibility::{self, cull_projected_points, point_in_viewport_projected, TrueVisibility};
+use crate::visibility::{self, cull_projected_points, TrueVisibility};
 use crate::{SimDuration, SimTime};
 use qtag_dom::{DomError, FrameId, Origin, Screen, TabId, WindowId};
-use qtag_geometry::{Point, Rect, Size, Vector};
+use qtag_geometry::{Point, Rect, Vector};
 use qtag_wire::Beacon;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -68,9 +67,10 @@ pub enum RenderMode {
     /// page's composite state and re-project every probe through its
     /// iframe chain. O(probes) work per frame, no caching.
     Naive,
-    /// Cache per-page visibility behind DOM mutation epochs and cull
-    /// probe candidates through a [`SpatialIndex`]. A frame in which
-    /// nothing changed validates each page with a single `u64` compare.
+    /// Cache per-page visibility behind DOM mutation epochs. A frame in
+    /// which nothing changed validates each page with a single `u64`
+    /// compare; a stale one culls the page's cached probe projections
+    /// directly (a tag plants a few dozen probes at most).
     Indexed,
 }
 
@@ -109,11 +109,9 @@ impl EngineConfig {
 /// 1. `screen_epoch` equal to the live [`Screen::epoch`] ⇒ the whole
 ///    scene is unchanged ⇒ *everything* below is still valid.
 /// 2. Otherwise recompute the composite state, then compare the page's
-///    `layout_epoch` — unchanged ⇒ cached probe projections and the
-///    spatial index survive (root-frame scrolls don't move content in
-///    root-document coordinates).
-/// 3. `mutation_epoch` / viewport / root scroll unchanged ⇒ the cached
-///    visible set survives too; otherwise re-query the index.
+///    `layout_epoch` — unchanged ⇒ cached probe projections survive
+///    (root-frame scrolls don't move content in root-document
+///    coordinates) and only the visible set is re-culled from them.
 ///
 /// `probes_len`/`probe_generation` guard the probe table itself: scripts
 /// can grow it mid-callback and detaches compact it, either of which
@@ -130,29 +128,17 @@ struct PageCache {
     acc: f64,
     screen_epoch: u64,
     layout_epoch: u64,
-    mutation_epoch: u64,
     probes_len: usize,
     probe_generation: u64,
     state: CompositeState,
-    viewport: Size,
-    root_scroll: Vector,
     /// `(probe index, projected point in root-doc coords)` for every
     /// probe on this page whose projection is not clipped away.
     entries: Vec<(u32, Point)>,
-    /// Spatial index over `entries` (ids are *positions in `entries`*).
-    index: SpatialIndex,
     /// Probe indices currently inside the viewport.
     visible: Vec<u32>,
     /// Did this page paint on the current tick?
     painted: bool,
 }
-
-/// Extra slop (CSS px) added around the viewport query rect so float
-/// rounding in `projected − scroll` can never drop a candidate the exact
-/// per-point test would accept. The lower bound needs none (`a − s ≥ 0 ⇔
-/// a ≥ s` exactly in IEEE); the upper bound can disagree by an ulp, which
-/// at document-scale magnitudes is far below one pixel.
-const QUERY_SLOP: f64 = 1.0;
 
 /// The deterministic browser engine: owns the screen, the clock, all
 /// attached scripts and their probes.
@@ -180,8 +166,6 @@ pub struct Engine {
     probe_generation: u64,
     /// Reused occluder buffer for `composite_state_with`.
     occ_scratch: Vec<Rect>,
-    /// Reused spatial-query output buffer.
-    query_scratch: Vec<u32>,
 }
 
 impl Engine {
@@ -202,7 +186,6 @@ impl Engine {
             page_of_script: Vec::new(),
             probe_generation: 1,
             occ_scratch: Vec::new(),
-            query_scratch: Vec::new(),
         }
     }
 
@@ -318,14 +301,10 @@ impl Engine {
                     // validates this cache.
                     screen_epoch: 0,
                     layout_epoch: 0,
-                    mutation_epoch: 0,
                     probes_len: 0,
                     probe_generation: 0,
                     state: CompositeState::Minimized,
-                    viewport: Size::ZERO,
-                    root_scroll: Vector::ZERO,
                     entries: Vec::new(),
-                    index: SpatialIndex::new(),
                     visible: Vec::new(),
                     painted: false,
                 });
@@ -502,7 +481,6 @@ impl Engine {
             probes,
             pages,
             occ_scratch,
-            query_scratch,
             probe_generation,
             ..
         } = self;
@@ -521,7 +499,6 @@ impl Engine {
                     probes,
                     cache,
                     occ_scratch,
-                    query_scratch,
                     screen_epoch,
                     *probe_generation,
                     probes_stale,
@@ -595,16 +572,15 @@ impl Engine {
     ///
     /// Tiered by what the stamps prove stale: composite state is always
     /// recomputed (the screen epoch moved to get here); probe projections
-    /// and the spatial index rebuild only when the page's *layout* epoch
-    /// moved or the probe table itself changed; the visible set re-queries
-    /// only when the view (root scroll / viewport / any mutation) moved.
-    #[allow(clippy::too_many_arguments)]
+    /// rebuild only when the page's *layout* epoch moved or the probe
+    /// table itself changed; the visible set is always re-culled from the
+    /// projections — a few dozen exact point tests cost less than the
+    /// bookkeeping that would prove them unnecessary.
     fn revalidate_page(
         screen: &Screen,
         probes: &[ProbeState],
         cache: &mut PageCache,
         occ_scratch: &mut Vec<Rect>,
-        query_scratch: &mut Vec<u32>,
         screen_epoch: u64,
         probe_generation: u64,
         probes_stale: bool,
@@ -620,7 +596,6 @@ impl Engine {
         // accumulator and callbacks, exactly like naive).
         let Ok(w) = screen.window(cache.window) else {
             cache.entries.clear();
-            cache.index.clear();
             cache.visible.clear();
             return;
         };
@@ -633,73 +608,33 @@ impl Engine {
         };
         let Some(page) = page else {
             cache.entries.clear();
-            cache.index.clear();
             cache.visible.clear();
             return;
         };
         let vp = w.viewport_size();
-        let layout_epoch = page.layout_epoch();
-        let mutation_epoch = page.mutation_epoch();
         let root_scroll = match page.frame(page.root()) {
             Ok(f) => f.scroll(),
             Err(_) => Vector::ZERO,
         };
 
-        let layout_stale = probes_stale || cache.layout_epoch != layout_epoch;
-        let view_stale = layout_stale
-            || cache.mutation_epoch != mutation_epoch
-            || cache.viewport != vp
-            || cache.root_scroll != root_scroll;
-        cache.layout_epoch = layout_epoch;
-        cache.mutation_epoch = mutation_epoch;
-        cache.viewport = vp;
-        cache.root_scroll = root_scroll;
-
-        if layout_stale {
-            // Re-project every probe on this page to root-doc coordinates
-            // and rebuild the index over the projections. Projections are
-            // pure functions of the layout (root scroll excluded), so
-            // they stay valid across root-frame scrolling.
+        let layout_epoch = page.layout_epoch();
+        if probes_stale || cache.layout_epoch != layout_epoch {
+            // Re-project every probe on this page to root-doc coordinates.
+            // Projections are pure functions of the layout (root scroll
+            // excluded), so they stay valid across root-frame scrolling.
+            cache.layout_epoch = layout_epoch;
             cache.entries.clear();
-            cache.index.clear();
             for (i, probe) in probes.iter().enumerate() {
                 if probe.window != cache.window || probe.tab != cache.tab {
                     continue;
                 }
                 if let Ok(Some(projected)) = page.point_to_root_unchecked(probe.frame, probe.point)
                 {
-                    let pos = cache.entries.len() as u32;
                     cache.entries.push((i as u32, projected));
-                    cache
-                        .index
-                        .insert(pos, Rect::new(projected.x, projected.y, 0.0, 0.0));
-                }
-            }
-            // Re-fit grid bounds over the full population (bulk inserts
-            // promoted against a partial bounding box).
-            cache.index.rebuild();
-            // Fresh projections in hand, culling the full entry set is
-            // cheaper than an index round-trip.
-            cull_projected_points(&cache.entries, root_scroll, vp, &mut cache.visible);
-        } else if view_stale {
-            // Layout stands; only the view moved. Query the index for
-            // candidates near the viewport, then re-test each with the
-            // exact per-point expression.
-            let query = Rect::new(
-                root_scroll.dx - QUERY_SLOP,
-                root_scroll.dy - QUERY_SLOP,
-                vp.width + 2.0 * QUERY_SLOP,
-                vp.height + 2.0 * QUERY_SLOP,
-            );
-            cache.index.query(&query, query_scratch);
-            cache.visible.clear();
-            for pos in query_scratch.iter() {
-                let (probe_idx, projected) = cache.entries[*pos as usize];
-                if point_in_viewport_projected(projected, root_scroll, vp) {
-                    cache.visible.push(probe_idx);
                 }
             }
         }
+        cull_projected_points(&cache.entries, root_scroll, vp, &mut cache.visible);
     }
 
     /// Runs the engine for (at least) the given simulated duration.

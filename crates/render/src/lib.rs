@@ -41,7 +41,6 @@ mod cpu;
 mod engine;
 mod env;
 mod script;
-mod spatial;
 mod throttle;
 mod video;
 mod visibility;
@@ -51,7 +50,6 @@ pub use cpu::CpuLoadModel;
 pub use engine::{Engine, EngineConfig, OutgoingBeacon, ProbeId, RenderMode, ScriptId};
 pub use env::{ApiCapabilities, DeviceProfile};
 pub use script::{ScriptCtx, ScriptHost, TagScript};
-pub use spatial::SpatialIndex;
 pub use throttle::{
     composite_state, composite_state_with, paint_rate, timer_hz_when_hidden, timer_rate,
     CompositeState,

@@ -1,28 +1,22 @@
-//! Equivalence properties for the spatially-indexed render path.
+//! Equivalence property for the epoch-cached render path.
 //!
-//! Two suites:
-//!
-//! 1. **Indexed vs naive engine equivalence** — random scenes (nested
-//!    cross-origin iframes, overlapping elements, multiple tabs) driven
-//!    through random schedules (scrolls at both levels, window moves,
-//!    resizes, tab switches, minimise/restore, occluders, element
-//!    mutations, mid-run attach/detach, clicks) must produce
-//!    **bit-identical** observable output in both [`RenderMode`]s: the
-//!    same frame count, the same per-probe paint counters, the same
-//!    beacon stream, the same composite states and ground-truth
-//!    visibility fractions.
-//! 2. **Incremental vs rebuilt spatial index** — after any op sequence,
-//!    an incrementally-maintained [`SpatialIndex`] answers queries
-//!    identically to a clone that was rebuilt from scratch, and both
-//!    report a superset-exact candidate set versus a brute-force oracle.
+//! **Indexed vs naive engine equivalence** — random scenes (nested
+//! cross-origin iframes, overlapping elements, multiple tabs) driven
+//! through random schedules (scrolls at both levels, window moves,
+//! resizes, tab switches, minimise/restore, occluders, element
+//! mutations, mid-run attach/detach, clicks) must produce
+//! **bit-identical** observable output in both [`RenderMode`]s: the
+//! same frame count, the same per-probe paint counters, the same
+//! beacon stream, the same composite states and ground-truth
+//! visibility fractions.
 
 use proptest::prelude::*;
 use qtag_dom::{Element, ElementKind, FrameId, Origin, Page, Screen, Tab, TabId, WindowKind};
 use qtag_geometry::{Point, Rect, Size, Vector};
 use qtag_render::{
     composite_state, CpuLoadModel, Engine, EngineConfig, PlaybackAction, PlaybackCommand,
-    PlaybackState, ProbeId, RenderMode, ScriptCtx, ScriptId, SimDuration, SimTime, SpatialIndex,
-    TagScript, VideoPlayer, VideoPlayerConfig,
+    PlaybackState, ProbeId, RenderMode, ScriptCtx, ScriptId, SimDuration, SimTime, TagScript,
+    VideoPlayer, VideoPlayerConfig,
 };
 use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
@@ -506,103 +500,5 @@ proptest! {
         // The full beacon streams, byte for byte.
         prop_assert_eq!(naive.drain_outbox(), indexed.drain_outbox());
         let _ = (hn.ssp, hi.ssp);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Incremental vs rebuilt index
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum IndexOp {
-    Insert(u32, f64, f64, f64, f64),
-    Remove(u32),
-    Update(u32, f64, f64, f64, f64),
-}
-
-fn index_op_strategy() -> impl Strategy<Value = IndexOp> {
-    let coord = -2000.0f64..6000.0;
-    let extent = 0.0f64..800.0;
-    prop_oneof![
-        (
-            0u32..96,
-            coord.clone(),
-            coord.clone(),
-            extent.clone(),
-            extent.clone()
-        )
-            .prop_map(|(id, x, y, w, h)| IndexOp::Insert(id, x, y, w, h)),
-        (
-            0u32..96,
-            coord.clone(),
-            coord.clone(),
-            extent.clone(),
-            extent.clone()
-        )
-            .prop_map(|(id, x, y, w, h)| IndexOp::Insert(id, x, y, w, h)),
-        (0u32..96).prop_map(IndexOp::Remove),
-        (0u32..96, coord, -3000.0f64..9000.0, extent.clone(), extent)
-            .prop_map(|(id, x, y, w, h)| IndexOp::Update(id, x, y, w, h)),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// After any mutation sequence, the incrementally-maintained index,
-    /// a rebuilt-from-scratch clone, and a brute-force oracle agree on
-    /// every query (the index output is allowed to be a superset of the
-    /// closed-interval oracle but, since every candidate is re-tested
-    /// against its slot rect, must be exactly equal here).
-    #[test]
-    fn incremental_index_equals_rebuilt(
-        ops in prop::collection::vec(index_op_strategy(), 1..120),
-        queries in prop::collection::vec(
-            (-2500.0f64..7000.0, -3500.0f64..9500.0, 0.0f64..2000.0, 0.0f64..2000.0),
-            1..8,
-        ),
-    ) {
-        let mut live: std::collections::HashMap<u32, Rect> = std::collections::HashMap::new();
-        let mut incremental = SpatialIndex::new();
-        for op in &ops {
-            match op {
-                IndexOp::Insert(id, x, y, w, h) | IndexOp::Update(id, x, y, w, h) => {
-                    let r = Rect::new(*x, *y, *w, *h);
-                    live.insert(*id, r);
-                    incremental.insert(*id, r);
-                }
-                IndexOp::Remove(id) => {
-                    live.remove(id);
-                    incremental.remove(*id);
-                }
-            }
-        }
-        prop_assert_eq!(incremental.len(), live.len());
-
-        let mut rebuilt = incremental.clone();
-        rebuilt.rebuild();
-
-        let mut out_inc = Vec::new();
-        let mut out_reb = Vec::new();
-        for (qx, qy, qw, qh) in &queries {
-            let q = Rect::new(*qx, *qy, *qw, *qh);
-            incremental.query(&q, &mut out_inc);
-            rebuilt.query(&q, &mut out_reb);
-            prop_assert_eq!(&out_inc, &out_reb, "incremental vs rebuilt on {:?}", q);
-
-            // Closed-interval brute-force oracle.
-            let mut oracle: Vec<u32> = live
-                .iter()
-                .filter(|(_, r)| {
-                    r.min_x() <= q.max_x()
-                        && q.min_x() <= r.max_x()
-                        && r.min_y() <= q.max_y()
-                        && q.min_y() <= r.max_y()
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            oracle.sort_unstable();
-            prop_assert_eq!(&out_inc, &oracle, "index vs oracle on {:?}", q);
-        }
     }
 }

@@ -1,48 +1,8 @@
-//! Synchronization facade: the single place this crate obtains locks,
-//! atomics, threads and clocks.
-//!
-//! A normal build delegates to `parking_lot` (locks) and `std`
-//! (atomics, threads, time). Building the workspace with
-//! `RUSTFLAGS="--cfg qtag_check"` swaps every primitive for the
-//! `qtag-check` model-checker shims, so the WAL writer and durable
-//! backend run under deterministic bounded-DFS schedule exploration
-//! (see `crates/check` and the `check_models` test suites). The two
-//! variants expose the same shapes: `lock()` returns the guard
-//! directly (no poison `Result`), `Condvar`-free, and `time::Instant`
-//! supports `now`/`elapsed`/`+ Duration` ordering.
-//!
-//! `qtag-lint` (rule R4) enforces the routing: no file in this crate
-//! may name `std::sync`/`parking_lot`/`std::thread` primitives
-//! directly outside this module.
+//! Synchronization facade for the durable store — a re-export of
+//! [`qtag_server::sync`], so a `Collector`, its `IngestService` and its
+//! `DurableBackend` always share one set of primitive types and swap to
+//! the qtag-check model-checker shims together under `--cfg qtag_check`.
+//! `qtag-lint` rule R4 enforces that no other file in this crate names
+//! `std::sync`/`parking_lot`/`std::thread` primitives directly.
 
-#[cfg(qtag_check)]
-pub use qtag_check::sync::{atomic, thread, time, Arc, Mutex, MutexGuard, Weak};
-
-#[cfg(not(qtag_check))]
-pub use parking_lot::Mutex;
-
-#[cfg(not(qtag_check))]
-pub use std::sync::{Arc, Weak};
-
-/// Guard returned by [`Mutex::lock`] (the vendored `parking_lot`
-/// hands out recovered `std` guards).
-#[cfg(not(qtag_check))]
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-
-/// Atomics in the `std::sync::atomic` shape.
-#[cfg(not(qtag_check))]
-pub mod atomic {
-    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-}
-
-/// Thread spawning and joining in the `std::thread` shape.
-#[cfg(not(qtag_check))]
-pub mod thread {
-    pub use std::thread::{sleep, spawn, yield_now, JoinHandle};
-}
-
-/// Clock types in the `std::time` shape.
-#[cfg(not(qtag_check))]
-pub mod time {
-    pub use std::time::{Duration, Instant};
-}
+pub use qtag_server::sync::*;
