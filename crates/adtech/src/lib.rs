@@ -26,9 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod blockers;
-pub mod frequency;
 pub mod markup;
-pub mod rtb;
 
 mod auction;
 mod campaign;

@@ -27,14 +27,16 @@
 //!   crossbeam) must not reach for `std::sync::Mutex`/`parking_lot`/
 //!   raw atomics / `std::thread::spawn` outside the facade file
 //!   itself.
-//! - **R5 reactor-no-blocking**: event-loop files (`*/reactor.rs`)
-//!   must not call blocking primitives — `thread::sleep`,
+//! - **R5 reactor-no-blocking**: event-loop files (`*/reactor.rs`,
+//!   and `*/connection.rs`, whose state machine the loop calls) must
+//!   not call blocking primitives — `thread::sleep`,
 //!   `write_all`/`read_exact`, socket timeouts, blocking
 //!   `.lock()`/`.recv()` — outside test regions. One stalled callback
 //!   stalls every connection on that worker, so the event loop only
 //!   gets non-blocking reads, cursor-tracked partial writes, and
 //!   `try_recv` hand-offs; sleeps and deadline waits belong to the
-//!   acceptor (`collector.rs`) or the poll timeout.
+//!   acceptor (`collector.rs`), the poll timeout, or `serve_stream`,
+//!   the reader-thread driver, which owns its thread.
 //! - **R6 tick-no-alloc**: render hot-path files (the engine's tick
 //!   loop) must not heap-allocate per frame — `Vec::new`/`vec![`/
 //!   `HashMap::new`/`format!`/`.collect()`/`.resize(`/… are banned
@@ -137,6 +139,14 @@ const REACTOR_BLOCKING_TOKENS: &[&str] = &[
     ".recv()",
     ".join()",
 ];
+
+/// Files whose non-test code runs on the reactor's event loop (R5).
+const EVENT_LOOP_FILES: &[&str] = &["/reactor.rs", "/connection.rs"];
+
+/// The one function in those files that owns a thread and may block
+/// it (R5): the reader-thread driver sets the socket timeouts its
+/// blocking reads and writes rely on.
+const BLOCKING_DRIVER_FN: &str = "serve_stream";
 
 /// Files whose non-test code is the per-frame render hot path (R6).
 const HOT_PATH_FILES: &[&str] = &["render/src/engine.rs"];
@@ -587,7 +597,7 @@ fn check_r4(f: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 fn check_r5(f: &SourceFile, out: &mut Vec<Finding>) {
-    if !f.rel.ends_with("/reactor.rs") {
+    if !EVENT_LOOP_FILES.iter().any(|e| f.rel.ends_with(e)) {
         return;
     }
     for i in 0..f.test_start {
@@ -596,7 +606,7 @@ fn check_r5(f: &SourceFile, out: &mut Vec<Finding>) {
             continue;
         }
         for token in REACTOR_BLOCKING_TOKENS {
-            if line.contains(token) {
+            if line.contains(token) && nearest_fn(&f.lines, i) != BLOCKING_DRIVER_FN {
                 out.push(Finding {
                     rule: "R5",
                     path: f.rel.clone(),
@@ -944,33 +954,39 @@ mod tests {
             "}".into(),
         ];
         let mut out = Vec::new();
+        let file = |rel: &str, lines: &[String]| SourceFile {
+            rel: rel.into(),
+            lines: lines.to_vec(),
+            test_start: lines.len(),
+        };
         // Same tokens outside an event-loop file are R5-exempt (the
-        // threaded path blocks by design).
+        // acceptor blocks by design).
+        check_r5(&file("crates/collectd/src/collector.rs", &lines), &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // So are they in the reader-thread driver, and nowhere else in
+        // the file that holds the state machine it drives.
+        let mut driver = lines.clone();
+        driver[0] =
+            "pub(crate) fn serve_stream(mut stream: impl ConnStream, ctx: ConnCtx) {".into();
         check_r5(
-            &SourceFile {
-                rel: "crates/collectd/src/connection.rs".into(),
-                lines: lines.clone(),
-                test_start: lines.len(),
-            },
+            &file("crates/collectd/src/connection.rs", &driver),
             &mut out,
         );
         assert!(out.is_empty(), "{out:?}");
-        let test_start = lines.len();
-        check_r5(
-            &SourceFile {
-                rel: "crates/collectd/src/reactor.rs".into(),
-                lines,
-                test_start,
-            },
-            &mut out,
-        );
-        assert_eq!(out.len(), 4, "{out:?}");
-        assert!(out.iter().all(|f| f.rule == "R5"));
-        assert!(out.iter().any(|f| f.detail.contains("recv")), "{out:?}");
-        assert!(
-            out.iter().any(|f| f.detail.contains("thread::sleep")),
-            "{out:?}"
-        );
+        for rel in [
+            "crates/collectd/src/reactor.rs",
+            "crates/collectd/src/connection.rs",
+        ] {
+            out.clear();
+            check_r5(&file(rel, &lines), &mut out);
+            assert_eq!(out.len(), 4, "{out:?}");
+            assert!(out.iter().all(|f| f.rule == "R5"));
+            assert!(out.iter().any(|f| f.detail.contains("recv")), "{out:?}");
+            assert!(
+                out.iter().any(|f| f.detail.contains("thread::sleep")),
+                "{out:?}"
+            );
+        }
     }
 
     #[test]

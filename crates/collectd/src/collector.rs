@@ -242,7 +242,7 @@ impl Drop for Collector {
 }
 
 /// Restores the `connections_active` gauge when a reader thread ends,
-/// including when `connection::serve` panics — otherwise a panic would
+/// including when `connection::serve_stream` panics — otherwise a panic would
 /// leak the slot against `max_connections` for the daemon's lifetime.
 struct ActiveGuard(Arc<CollectorStats>);
 
@@ -305,7 +305,7 @@ impl Admitter {
             Admitter::Threaded { handlers } => {
                 handlers.push(thread::spawn(move || {
                     let _active = ActiveGuard(Arc::clone(&conn_ctx.stats));
-                    connection::serve(stream, conn_ctx);
+                    connection::serve_stream(stream, conn_ctx);
                 }));
             }
             #[cfg(target_os = "linux")]

@@ -1,8 +1,13 @@
-//! Per-connection protocol engine: sniffing, decoding, batching,
-//! ack generation — shared verbatim by the thread-per-connection
-//! reader ([`serve`]) and the reactor's connection state machines
-//! (`crate::reactor`), so both modes produce bit-identical accounting
-//! from the same byte schedules.
+//! The connection: protocol sniffing, decoding, batching and ack
+//! generation ([`ProtoEngine`]) inside the one per-connection state
+//! machine ([`ConnState`]: read loop, `EINTR` retry, idle clock, ack
+//! flush cursor, backpressure pause). The two serving modes differ only
+//! in who calls [`ConnState::on_readable`]: a dedicated thread blocked
+//! in [`serve_stream`], or an epoll wakeup in `crate::reactor`.
+//!
+//! `ConnState` runs on the reactor's event loop, so `qtag-lint` rule R5
+//! keeps blocking calls out of this file; [`serve_stream`], which owns
+//! its thread, is the one exempt function.
 
 use crate::config::CollectorConfig;
 use crate::stats::CollectorStats;
@@ -12,7 +17,7 @@ use crate::sync::Arc;
 use qtag_obs::{Stage, TraceEvent, TraceRing};
 use qtag_server::BeaconInlet;
 use qtag_wire::framing::FrameEvent;
-use qtag_wire::sender::{encode_ack, AckKey, ACK_HELLO};
+use qtag_wire::sender::{encode_ack, AckKey, ACK_HELLO, ACK_LEN};
 use qtag_wire::{json, Beacon, FrameDecoder};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -240,36 +245,27 @@ fn finish_binary(dec: &mut FrameDecoder, ctx: &ConnCtx, batch: &mut Vec<Beacon>)
 }
 
 /// The transport-agnostic half of a connection: protocol sniffing,
-/// decoding, per-read batched inlet hand-off and ack generation. The
-/// threaded reader wraps one in a blocking loop; the reactor holds one
-/// per slab slot and feeds it whatever the readiness loop reads. Both
-/// paths therefore account byte-identically — the equivalence the
-/// `reactor_equivalence` property test pins.
-pub(crate) struct ProtoEngine {
+/// decoding, per-read batched inlet hand-off and ack generation.
+/// Owned and fed by [`ConnState`] only.
+struct ProtoEngine {
     proto: Option<Protocol>,
     batch: Vec<Beacon>,
 }
 
 impl ProtoEngine {
-    pub(crate) fn new() -> ProtoEngine {
+    fn new() -> ProtoEngine {
         ProtoEngine {
             proto: None,
             batch: Vec::new(),
         }
     }
 
-    /// Whether the connection opted into the acked binary protocol
-    /// (decided by its first byte; `false` until sniffed).
-    pub(crate) fn acked(&self) -> bool {
-        matches!(self.proto, Some(Protocol::BinaryAcked(_)))
-    }
-
     /// Feeds one read's worth of bytes: sniffs the protocol on the
     /// first byte, decodes, counts corrupt frames, and offers every
     /// decoded beacon to the inlet in one batch. Ack records for
     /// inlet-accepted frames append to `acks` (acked protocol only);
-    /// flushing them is the caller's transport-specific job.
-    pub(crate) fn on_bytes(&mut self, bytes: &[u8], ctx: &ConnCtx, acks: &mut Vec<u8>) {
+    /// flushing them is [`ConnState::flush`]'s job.
+    fn on_bytes(&mut self, bytes: &[u8], ctx: &ConnCtx, acks: &mut Vec<u8>) {
         if bytes.is_empty() {
             return;
         }
@@ -321,7 +317,7 @@ impl ProtoEngine {
     /// corrupt, not applied); a JSON tail missing only its newline is
     /// parsed and accounted (see [`JsonLines::finish`]). Idempotent —
     /// a second call observes an empty engine and does nothing.
-    pub(crate) fn finish(&mut self, ctx: &ConnCtx, acks: &mut Vec<u8>) {
+    fn finish(&mut self, ctx: &ConnCtx, acks: &mut Vec<u8>) {
         match self.proto.take() {
             Some(Protocol::Binary(mut dec)) => {
                 finish_binary(&mut dec, ctx, &mut self.batch);
@@ -340,32 +336,195 @@ impl ProtoEngine {
     }
 }
 
-/// Writes pending ack records back to the client in a single
-/// `write_all` — one syscall for every ack generated during one read
-/// iteration. Returns `false` if the write fails — the connection is
-/// then torn down; the client's ack timeouts will drive
-/// retransmission over a fresh connection.
-fn flush_acks(stream: &mut impl Write, acks: &mut Vec<u8>, ctx: &ConnCtx) -> bool {
-    if acks.is_empty() {
-        return true;
+/// Why [`ConnState::on_readable`] wants the connection closed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReadOutcome {
+    /// Keep the connection; nothing more to read right now.
+    Open,
+    /// Peer closed its write half (orderly EOF) or the socket erred;
+    /// either way the stream is over and the engine must be flushed.
+    Closed,
+}
+
+/// The per-connection state machine: the [`ProtoEngine`] plus the
+/// socket lifecycle around it (pending-ack write buffer with cursor,
+/// pause flag, idle clock). Transport-agnostic — a reader thread
+/// drives it over a blocking socket, a reactor worker over a
+/// non-blocking one, the model/property drivers over scripted
+/// in-memory IO.
+pub(crate) struct ConnState {
+    engine: ProtoEngine,
+    /// Ack bytes generated but not yet fully written. `cursor` marks
+    /// how far writes have progressed; the buffer is cleared (and
+    /// counted) only when fully drained, so every ack is counted
+    /// exactly once.
+    acks: Vec<u8>,
+    cursor: usize,
+    /// Reads paused because the un-drained ack backlog exceeded
+    /// `ack_buffer_cap`. Cleared on full drain.
+    paused: bool,
+    /// Facade-clock instant of the last byte received (idle budget).
+    /// Measured from the clock, NOT accumulated per wakeup: a timed
+    /// read that wakes early (signal, spurious wakeup) must not count
+    /// as idle time.
+    last_data: Instant,
+}
+
+// `on_writable` and the pause accessors are called by the epoll
+// worker only.
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+impl ConnState {
+    pub(crate) fn new() -> ConnState {
+        ConnState {
+            engine: ProtoEngine::new(),
+            acks: Vec::new(),
+            cursor: 0,
+            paused: false,
+            last_data: Instant::now(),
+        }
     }
-    let n = (acks.len() / qtag_wire::sender::ACK_LEN) as u64;
-    let start_us = ctx.obs.now_us();
-    match stream.write_all(acks) {
-        Ok(()) => {
+
+    fn pending(&self) -> usize {
+        self.acks.len() - self.cursor
+    }
+
+    /// Whether an ack write is parked: the reactor watches the
+    /// connection for `WRITABLE`; the reader thread, whose writes
+    /// already waited out the write timeout, gives the client up.
+    pub(crate) fn wants_writable(&self) -> bool {
+        self.pending() > 0
+    }
+
+    /// Whether reads are paused behind the ack backlog.
+    pub(crate) fn reads_paused(&self) -> bool {
+        self.paused
+    }
+
+    /// How long since the peer last sent a byte.
+    pub(crate) fn idle_for(&self) -> Duration {
+        self.last_data.elapsed()
+    }
+
+    /// Reads up to `budget` chunks, feeding the engine and flushing
+    /// acks opportunistically. `EINTR` retries the read; a socket with
+    /// nothing to read right now, or an exhausted budget, returns
+    /// [`ReadOutcome::Open`] and waits for the next call.
+    pub(crate) fn on_readable(
+        &mut self,
+        io: &mut (impl Read + Write),
+        ctx: &ConnCtx,
+        scratch: &mut [u8],
+        budget: usize,
+    ) -> io::Result<ReadOutcome> {
+        if self.paused {
+            // Backpressured: the ack backlog must drain (on_writable)
+            // before more frames are accepted. Level-triggered polling
+            // re-delivers the readable event after resume.
+            return Ok(ReadOutcome::Open);
+        }
+        let mut reads = 0;
+        loop {
+            match io.read(scratch) {
+                Ok(0) => return Ok(ReadOutcome::Closed),
+                Ok(n) => {
+                    self.last_data = Instant::now();
+                    ctx.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed); // ordering: stat, read after join
+                    self.engine.on_bytes(&scratch[..n], ctx, &mut self.acks);
+                    if self.pending() > 0 {
+                        self.flush(io, ctx)?;
+                        if self.pending() > ctx.cfg.ack_buffer_cap {
+                            self.paused = true;
+                            // ordering: monotone stat; exact reads only after join.
+                            ctx.stats
+                                .ack_backpressure_pauses
+                                .fetch_add(1, Ordering::Relaxed);
+                            return Ok(ReadOutcome::Open);
+                        }
+                    }
+                    reads += 1;
+                    if reads >= budget {
+                        return Ok(ReadOutcome::Open);
+                    }
+                }
+                // A signal landing mid-read (EINTR) says nothing about
+                // the connection — retry instead of tearing down a
+                // healthy peer and forcing a full client retry cycle.
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // `TimedOut` is how some platforms spell an expired
+                // read timeout on a blocking socket; a non-blocking
+                // one never reports it.
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(ReadOutcome::Open)
+                }
+                // Abrupt disconnect (reset mid-stream): everything
+                // already read still gets flushed by `finish`.
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Handles a writable event: resumes the parked ack flush.
+    pub(crate) fn on_writable(&mut self, io: &mut impl Write, ctx: &ConnCtx) -> io::Result<()> {
+        self.flush(io, ctx)
+    }
+
+    /// Ack flush. Partial progress advances `cursor`; a full drain
+    /// counts the acks (`acks_sent` per record, `ack_flushes` per
+    /// drained buffer — on a blocking socket that is one per read
+    /// that produced acks), resets the buffer, and lifts a read pause.
+    /// A write that would block — at once on a non-blocking socket,
+    /// after the write timeout on a blocking one — parks the rest.
+    fn flush(&mut self, io: &mut impl Write, ctx: &ConnCtx) -> io::Result<()> {
+        if self.acks.is_empty() {
+            return Ok(());
+        }
+        let start_us = ctx.obs.now_us();
+        while self.cursor < self.acks.len() {
+            match io.write(&self.acks[self.cursor..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.cursor += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        if self.cursor == self.acks.len() {
+            let n = (self.acks.len() / ACK_LEN) as u64;
             ctx.stats.acks_sent.fetch_add(n, Ordering::Relaxed); // ordering: stat, read after join
             ctx.stats.ack_flushes.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-            acks.clear();
+            self.acks.clear();
+            self.cursor = 0;
+            self.paused = false;
             ctx.obs.span(Stage::Ack, start_us, n);
-            true
         }
-        Err(_) => false,
+        Ok(())
+    }
+
+    /// End-of-stream: flushes the engine (a truncated binary tail
+    /// stays unsent; an unterminated JSON tail is parsed) and makes
+    /// one best-effort attempt at the final acks. A peer that is gone,
+    /// or whose socket buffer is full while closing, loses only acks —
+    /// its retry layer covers them.
+    pub(crate) fn finish(&mut self, io: &mut impl Write, ctx: &ConnCtx) {
+        self.engine.finish(ctx, &mut self.acks);
+        let _ = self.flush(io, ctx);
+    }
+
+    /// Clears a backpressure pause (shutdown drain reads regardless:
+    /// the daemon is about to close the socket either way, and the
+    /// buffered frames must reach the store).
+    pub(crate) fn unpause_for_drain(&mut self) {
+        self.paused = false;
     }
 }
 
 /// The blocking-socket surface [`serve_stream`] needs, implemented by
-/// `TcpStream` and by the test shims that inject `EINTR` and early
-/// `WouldBlock` wakeups (the connection-lifecycle regression suite).
+/// `TcpStream` and by the test shims that inject `EINTR`, early
+/// wakeups and stalled writes (the connection-lifecycle regression
+/// suite).
 pub(crate) trait ConnStream: Read + Write {
     fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
     fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
@@ -381,121 +540,48 @@ impl ConnStream for TcpStream {
     }
 }
 
-/// Serves one connection to completion over a blocking socket.
-/// Returns when the peer closes, the read-timeout budget is
-/// exhausted, or the daemon is shutting down and the socket has gone
-/// quiet — always flushing whatever the decoder still holds so
+/// Serves one connection to completion on a dedicated thread: drives
+/// a [`ConnState`] over a blocking socket. Returns when the peer
+/// closes, the read-timeout budget is exhausted, the client stops
+/// taking its acks, or the daemon is shutting down and the socket has
+/// gone quiet — always flushing whatever the decoder still holds so
 /// in-flight frames are never dropped.
-pub(crate) fn serve(stream: TcpStream, ctx: ConnCtx) {
-    serve_stream(stream, ctx);
-}
-
 pub(crate) fn serve_stream(mut stream: impl ConnStream, ctx: ConnCtx) {
     // Poll-interval read timeout: bounds both idle detection
-    // granularity and shutdown latency.
+    // granularity and shutdown latency. The write timeout bounds ack
+    // writes to a stalled client so this thread cannot hang forever.
     let _ = stream.set_read_timeout(Some(ctx.cfg.poll_interval));
-    let mut engine = ProtoEngine::new();
+    let _ = stream.set_write_timeout(Some(ctx.cfg.read_timeout));
+    let mut state = ConnState::new();
     let mut buf = vec![0u8; 16 * 1024];
-    let mut acks: Vec<u8> = Vec::new();
-    let mut write_timeout_set = false;
-    // Idle budget measured against the facade clock from the last
-    // byte received — NOT accumulated in poll_interval steps, which
-    // over-counted whenever a timed read woke early (signal, spurious
-    // wakeup) and skewed `connections_timed_out`.
-    let mut last_data = Instant::now();
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break, // orderly close: socket fully drained
-            Ok(n) => {
-                last_data = Instant::now();
-                ctx.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed); // ordering: stat, read after join
-                engine.on_bytes(&buf[..n], &ctx, &mut acks);
-                if engine.acked() {
-                    if !write_timeout_set {
-                        // Bound ack writes to a stalled client so the
-                        // reader thread cannot hang forever.
-                        let _ = stream.set_write_timeout(Some(ctx.cfg.read_timeout));
-                        write_timeout_set = true;
-                    }
-                    if !flush_acks(&mut stream, &mut acks, &ctx) {
-                        break; // ack channel gone: force a retry cycle
-                    }
-                }
-            }
-            // A signal landing mid-read (EINTR) says nothing about
-            // the connection — retry instead of tearing down a
-            // healthy peer and forcing a full client retry cycle.
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // ordering: Acquire pairs with the Release store in
-                // `Collector::stop` — reader threads that see the flag
-                // also see everything the stopping thread published
-                // before flipping it.
-                if ctx.shutdown.load(Ordering::Acquire) {
-                    // Draining for shutdown and the socket is quiet:
-                    // nothing more will be waited for.
-                    break;
-                }
-                if last_data.elapsed() >= ctx.cfg.read_timeout {
-                    // ordering: monotone stat; exact reads only after join.
-                    ctx.stats
-                        .connections_timed_out
-                        .fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            // Abrupt disconnect (reset mid-stream): everything already
-            // read still gets flushed below.
-            Err(_) => break,
+    // Unbudgeted: this thread has nobody to yield to, so `Open` means
+    // the socket went quiet for a poll interval (or reads paused).
+    while let Ok(ReadOutcome::Open) = state.on_readable(&mut stream, &ctx, &mut buf, usize::MAX) {
+        if state.wants_writable() {
+            // An ack write outlasted the write timeout. Nobody will
+            // deliver a writable event here, and a paused state would
+            // return at once forever: give the client up, its ack
+            // timeouts force a retry cycle over a fresh connection.
+            break;
+        }
+        // ordering: Acquire pairs with the Release store in
+        // `Collector::stop` — reader threads that see the flag also
+        // see everything the stopping thread published before
+        // flipping it.
+        if ctx.shutdown.load(Ordering::Acquire) {
+            // Draining for shutdown and the socket is quiet: nothing
+            // more will be waited for.
+            break;
+        }
+        if state.idle_for() >= ctx.cfg.read_timeout {
+            // ordering: monotone stat; exact reads only after join.
+            ctx.stats
+                .connections_timed_out
+                .fetch_add(1, Ordering::Relaxed);
+            break;
         }
     }
-    // End-of-stream flush, all protocols.
-    let acked = engine.acked();
-    engine.finish(&ctx, &mut acks);
-    if acked {
-        // Best-effort: the peer may already be gone; its ack timeouts
-        // cover the loss.
-        let _ = flush_acks(&mut stream, &mut acks, &ctx);
-    }
-}
-
-/// Drives one binary-protocol session over in-memory byte chunks —
-/// the real decode → drain → batched-inlet-offer → finish path of
-/// [`serve`], minus the socket (whose blocking reads the qtag-check
-/// scheduler cannot preempt). Each chunk plays one socket read.
-/// Returns once the stream is fully drained and flushed, exactly like
-/// a connection whose peer closed.
-///
-/// This exists solely as a model seam for `tests/check_models.rs` and
-/// the reactor-equivalence property suite; it is not part of the
-/// supported API.
-#[doc(hidden)]
-pub fn serve_binary_chunks(
-    cfg: Arc<CollectorConfig>,
-    stats: Arc<CollectorStats>,
-    inlet: BeaconInlet,
-    shutdown: Arc<AtomicBool>,
-    chunks: &[Vec<u8>],
-) {
-    let ctx = ConnCtx {
-        cfg,
-        stats,
-        inlet,
-        shutdown,
-        obs: ConnObs::disabled(),
-    };
-    let mut engine = ProtoEngine::new();
-    let mut acks = Vec::new();
-    for chunk in chunks {
-        ctx.stats
-            .bytes_read
-            // ordering: monotone stat; exact reads only after join.
-            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        engine.on_bytes(chunk, &ctx, &mut acks);
-    }
-    engine.finish(&ctx, &mut acks);
+    state.finish(&mut stream, &ctx);
 }
 
 #[cfg(test)]
@@ -569,21 +655,28 @@ mod tests {
     enum Step {
         Data(Vec<u8>),
         Err(io::ErrorKind),
+        /// Not a read: from here on every write waits out the write
+        /// timeout and takes nothing (`WouldBlock`), like a client
+        /// that stopped reading its acks.
+        StallWrites,
         Eof,
     }
 
     /// A scripted [`ConnStream`]: each `read` plays the next step,
-    /// writes are swallowed. Lets the regression tests inject `EINTR`
-    /// and early `WouldBlock` wakeups that a real socket cannot
-    /// produce deterministically.
+    /// writes are swallowed (or stalled, after [`Step::StallWrites`]).
+    /// Lets the regression tests inject `EINTR`, early wakeups and
+    /// write timeouts that a real socket cannot produce
+    /// deterministically.
     struct ShimStream {
         steps: VecDeque<Step>,
+        writes_stalled: bool,
     }
 
     impl ShimStream {
         fn new(steps: Vec<Step>) -> Self {
             ShimStream {
                 steps: steps.into(),
+                writes_stalled: false,
             }
         }
     }
@@ -597,6 +690,10 @@ mod tests {
                     Ok(bytes.len())
                 }
                 Some(Step::Err(kind)) => Err(io::Error::from(kind)),
+                Some(Step::StallWrites) => {
+                    self.writes_stalled = true;
+                    self.read(buf)
+                }
                 Some(Step::Eof) | None => Ok(0),
             }
         }
@@ -604,6 +701,9 @@ mod tests {
 
     impl Write for ShimStream {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.writes_stalled {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
             Ok(buf.len())
         }
 
@@ -721,6 +821,94 @@ mod tests {
         r.service.shutdown();
         let snap = r.ctx.stats.snapshot();
         assert_eq!(snap.connections_timed_out, 1, "{snap:?}");
+    }
+
+    /// An expired read timeout is spelled `TimedOut`, not `WouldBlock`,
+    /// on some platforms. Either way it is a quiet poll: the
+    /// connection stays up and the beacon after the quiet spell lands.
+    #[test]
+    fn timed_out_read_is_a_quiet_poll_not_a_teardown() {
+        let r = rig(CollectorConfig::default());
+        let stream = ShimStream::new(vec![
+            Step::Data(encode_frames(&[beacon(1, 0)]).unwrap()),
+            Step::Err(io::ErrorKind::TimedOut),
+            Step::Err(io::ErrorKind::TimedOut),
+            Step::Data(encode_frames(&[beacon(2, 0)]).unwrap()),
+            Step::Eof,
+        ]);
+        serve_stream(stream, r.ctx.clone());
+        r.service.shutdown();
+        let snap = r.ctx.stats.snapshot();
+        assert_eq!(snap.frames_decoded, 2, "{snap:?}");
+        assert_eq!(snap.connections_timed_out, 0, "{snap:?}");
+        assert_eq!(r.store.unique_beacons(), 2);
+    }
+
+    fn acked(beacons: &[Beacon]) -> Vec<u8> {
+        let mut bytes = vec![ACK_HELLO];
+        bytes.extend_from_slice(&encode_frames(beacons).unwrap());
+        bytes
+    }
+
+    /// An acked client that stops taking its acks: the write comes
+    /// back from the state machine parked, not failed, and a reader
+    /// thread has no writable event to wait for — it must close the
+    /// connection the first time the machine hands control back, and
+    /// never call a paused machine again (it would return at once,
+    /// forever; this test would hang). Only acks are lost: every
+    /// frame read before the close is in the store.
+    #[test]
+    fn stalled_ack_writer_is_closed_not_spun_on() {
+        // (ack_buffer_cap, frames read before the close): over the cap
+        // the machine pauses after the first read; under it the thread
+        // reads on until the socket goes quiet.
+        for (ack_buffer_cap, read_before_close) in [(0, 1), (64 * 1024, 2)] {
+            let r = rig(CollectorConfig {
+                ack_buffer_cap,
+                ..CollectorConfig::default()
+            });
+            let stream = ShimStream::new(vec![
+                Step::StallWrites,
+                Step::Data(acked(&[beacon(1, 0)])),
+                Step::Data(encode_frames(&[beacon(2, 0)]).unwrap()),
+                Step::Err(io::ErrorKind::WouldBlock),
+                Step::Data(encode_frames(&[beacon(3, 0)]).unwrap()),
+                Step::Eof,
+            ]);
+            serve_stream(stream, r.ctx.clone());
+            r.service.shutdown();
+            let snap = r.ctx.stats.snapshot();
+            assert_eq!(snap.frames_decoded, read_before_close, "{snap:?}");
+            assert_eq!(r.store.unique_beacons(), read_before_close, "{snap:?}");
+            assert_eq!(snap.acks_sent, 0, "{snap:?}");
+            assert_eq!(snap.ack_flushes, 0, "{snap:?}");
+            assert_eq!(snap.connections_timed_out, 0, "{snap:?}");
+        }
+    }
+
+    /// `ack_flushes` counts drained ack buffers. A blocking socket
+    /// drains the buffer inside the read iteration that filled it, so
+    /// a reader thread reports one flush per read that produced acks —
+    /// the number the hand-written threaded loop reported — and none
+    /// for a read that completed no frame.
+    #[test]
+    fn reader_thread_ack_flushes_equal_ack_producing_reads() {
+        let r = rig(CollectorConfig::default());
+        let split = encode_frames(&[beacon(4, 0)]).unwrap();
+        let (head, tail) = split.split_at(split.len() / 2);
+        let stream = ShimStream::new(vec![
+            Step::Data(acked(&[beacon(1, 0), beacon(2, 0)])),
+            Step::Data(encode_frames(&[beacon(3, 0)]).unwrap()),
+            Step::Data(head.to_vec()), // no complete frame: no acks, no flush
+            Step::Data(tail.to_vec()),
+            Step::Eof,
+        ]);
+        serve_stream(stream, r.ctx.clone());
+        r.service.shutdown();
+        let snap = r.ctx.stats.snapshot();
+        assert_eq!(snap.acks_sent, 4, "{snap:?}");
+        assert_eq!(snap.ack_flushes, 3, "{snap:?}");
+        assert_eq!(r.store.unique_beacons(), 4);
     }
 
     /// Regression (unterminated JSON tail): a complete, valid JSON

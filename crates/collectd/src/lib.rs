@@ -7,18 +7,19 @@
 //! protocol on the same port, feeding decoded beacons into
 //! [`qtag_server::IngestService`] through its bounded inlet.
 //!
-//! Two serving shapes share one protocol engine and one acceptor:
+//! One per-connection state machine (`connection.rs`: protocol
+//! engine, read loop, idle clock, ack flush) behind one acceptor, with
+//! two drivers that differ only in who calls it:
 //!
 //! - **Threaded** (default): the acceptor supervises one OS thread per
-//!   connection with blocking reads-with-timeout — the simplest
-//!   correct shape while connection counts are modest (no async
-//!   runtime in the dependency tree).
+//!   connection, blocked in reads-with-timeout — the simplest correct
+//!   shape while connection counts are modest (no async runtime in
+//!   the dependency tree), and the only one without epoll.
 //! - **Reactor** ([`CollectorConfig::reactor`]): a few epoll worker
-//!   loops drive non-blocking per-connection state machines
-//!   (`reactor.rs`), which is what lets one daemon hold tens of
-//!   thousands of mostly-idle sockets without ten thousand stacks.
+//!   loops call the same machine on readiness events (`reactor.rs`),
+//!   which is what lets one daemon hold tens of thousands of
+//!   mostly-idle sockets without ten thousand stacks.
 //!
-//! Both modes decode through the same engine and account identically.
 //! Every hand-off is a crossbeam channel; overload is shed at the
 //! bounded inlet and *counted*, never silently dropped, so the
 //! end-to-end conservation identity
@@ -50,11 +51,10 @@ pub use collector::Collector;
 pub use config::CollectorConfig;
 pub use stats::{CollectorStats, CollectorStatsSnapshot, IngestMetrics, IngestStats, OpsSnapshot};
 
-// Socket-free session drivers for the qtag_check schedule-exploration
-// models (`tests/check_models.rs`) and the reactor-vs-threaded
-// equivalence suite; not part of the supported API.
-#[doc(hidden)]
-pub use connection::serve_binary_chunks;
+// Socket-free drivers of the connection state machine for the
+// qtag_check schedule-exploration models (`tests/check_models.rs`),
+// the chunking-invariance property suite and the loadgen's virtual
+// fleet; not part of the supported API.
 #[doc(hidden)]
 #[cfg(target_os = "linux")]
 pub use reactor::{reactor_chunks, reactor_virtual_fleet};

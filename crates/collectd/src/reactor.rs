@@ -11,10 +11,10 @@
 //!
 //! Each worker owns its connections for life: a slab (`Vec<Option<..>>`
 //! plus free list) of [`ConnState`] machines keyed by the epoll token,
-//! no migration and no cross-worker locking. The state machine drives
-//! the exact same [`ProtoEngine`] as the threaded mode, so the wire
-//! protocol, shed accounting and conservation identities are
-//! bit-identical between modes — a property the equivalence tests pin.
+//! no migration and no cross-worker locking. The machine is the one
+//! the reader-thread mode drives (`crate::connection`), so the wire
+//! protocol, shed accounting and conservation identities cannot differ
+//! between modes; this file only decides *when* it is called.
 //!
 //! Backpressure rules:
 //!
@@ -29,15 +29,16 @@
 //!   until the client drains its acks — a slow ack reader throttles
 //!   its own sender instead of growing daemon memory.
 //! - **Idle**: a periodic sweep closes connections whose last byte is
-//!   older than `read_timeout`, measured on the facade clock (the
-//!   same wall-accurate accounting as the threaded mode).
+//!   older than `read_timeout`, measured on the connection's own
+//!   facade-clock idle timer.
 //!
 //! The blocking calls that make sense on a dedicated reader thread
 //! (socket timeouts, `write_all`, sleeps) are design bugs on an event
-//! loop; `qtag-lint` rule R5 keeps them out of this file.
+//! loop; `qtag-lint` rule R5 keeps them out of this file and out of
+//! `connection.rs`.
 
 use crate::config::CollectorConfig;
-use crate::connection::{ConnCtx, ProtoEngine};
+use crate::connection::{ConnCtx, ConnObs, ConnState, ReadOutcome};
 use crate::stats::CollectorStats;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::time::Instant;
@@ -45,7 +46,6 @@ use crate::sync::Arc;
 use crossbeam::channel::{Receiver, TryRecvError};
 use mio::{Events, Interest, Poll, Token};
 use qtag_server::BeaconInlet;
-use qtag_wire::sender::ACK_LEN;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -63,162 +63,6 @@ pub(crate) struct NewConn {
     pub(crate) ctx: ConnCtx,
 }
 
-/// Why [`ConnState::on_readable`] wants the connection closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReadOutcome {
-    /// Keep the connection; nothing more to read right now.
-    Open,
-    /// Peer closed its write half (orderly EOF) or the socket erred;
-    /// either way the stream is over and the engine must be flushed.
-    Closed,
-}
-
-/// The per-connection non-blocking state machine: the shared
-/// [`ProtoEngine`] plus the reactor-only state (pending-ack write
-/// buffer with cursor, pause flag, idle clock). Transport-agnostic —
-/// the worker drives it with a real socket, the model/equivalence
-/// drivers with scripted in-memory IO.
-pub(crate) struct ConnState {
-    engine: ProtoEngine,
-    /// Ack bytes generated but not yet fully written. `cursor` marks
-    /// how far non-blocking writes have progressed; the buffer is
-    /// cleared (and counted) only when fully drained, so every ack is
-    /// counted exactly once.
-    acks: Vec<u8>,
-    cursor: usize,
-    /// Reads paused because the un-drained ack backlog exceeded
-    /// `ack_buffer_cap`. Cleared on full drain.
-    paused: bool,
-    /// Facade-clock instant of the last byte received (idle budget).
-    last_data: Instant,
-}
-
-impl ConnState {
-    pub(crate) fn new() -> ConnState {
-        ConnState {
-            engine: ProtoEngine::new(),
-            acks: Vec::new(),
-            cursor: 0,
-            paused: false,
-            last_data: Instant::now(),
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.acks.len() - self.cursor
-    }
-
-    /// Whether the worker should watch this connection for `WRITABLE`
-    /// (a partial ack write is parked).
-    pub(crate) fn wants_writable(&self) -> bool {
-        self.pending() > 0
-    }
-
-    /// How long since the peer last sent a byte.
-    pub(crate) fn idle_for(&self) -> Duration {
-        self.last_data.elapsed()
-    }
-
-    /// Handles a readable event: reads up to `budget` chunks, feeding
-    /// the engine and flushing acks opportunistically. `EINTR` retries
-    /// the read (the same lifecycle fix as the threaded path);
-    /// `WouldBlock` or an exhausted budget returns [`ReadOutcome::Open`]
-    /// and waits for the next event.
-    pub(crate) fn on_readable(
-        &mut self,
-        io: &mut (impl Read + Write),
-        ctx: &ConnCtx,
-        scratch: &mut [u8],
-        budget: usize,
-    ) -> io::Result<ReadOutcome> {
-        if self.paused {
-            // Backpressured: the ack backlog must drain (on_writable)
-            // before more frames are accepted. Level-triggered polling
-            // re-delivers the readable event after resume.
-            return Ok(ReadOutcome::Open);
-        }
-        let mut reads = 0;
-        loop {
-            match io.read(scratch) {
-                Ok(0) => return Ok(ReadOutcome::Closed),
-                Ok(n) => {
-                    self.last_data = Instant::now();
-                    ctx.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed); // ordering: stat, read after join
-                    self.engine.on_bytes(&scratch[..n], ctx, &mut self.acks);
-                    if self.pending() > 0 {
-                        self.flush(io, ctx)?;
-                        if self.pending() > ctx.cfg.ack_buffer_cap {
-                            self.paused = true;
-                            // ordering: monotone stat; exact reads only after join.
-                            ctx.stats
-                                .ack_backpressure_pauses
-                                .fetch_add(1, Ordering::Relaxed);
-                            return Ok(ReadOutcome::Open);
-                        }
-                    }
-                    reads += 1;
-                    if reads >= budget {
-                        return Ok(ReadOutcome::Open);
-                    }
-                }
-                // A signal landing mid-read says nothing about the
-                // connection: retry, don't tear down.
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadOutcome::Open),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Handles a writable event: resumes the parked ack flush.
-    pub(crate) fn on_writable(&mut self, io: &mut impl Write, ctx: &ConnCtx) -> io::Result<()> {
-        self.flush(io, ctx)
-    }
-
-    /// Non-blocking ack flush. Partial progress advances `cursor`; a
-    /// full drain counts the acks (`acks_sent` per record,
-    /// `ack_flushes` per drained buffer — the coalescing unit of this
-    /// mode), resets the buffer, and lifts a read pause.
-    fn flush(&mut self, io: &mut impl Write, ctx: &ConnCtx) -> io::Result<()> {
-        while self.cursor < self.acks.len() {
-            match io.write(&self.acks[self.cursor..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.cursor += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
-            }
-        }
-        if self.cursor == self.acks.len() && !self.acks.is_empty() {
-            let n = (self.acks.len() / ACK_LEN) as u64;
-            ctx.stats.acks_sent.fetch_add(n, Ordering::Relaxed); // ordering: stat, read after join
-            ctx.stats.ack_flushes.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-            self.acks.clear();
-            self.cursor = 0;
-            self.paused = false;
-        }
-        Ok(())
-    }
-
-    /// End-of-stream: flushes the engine (truncated binary tails stay
-    /// unsent; an unterminated JSON tail is parsed — the same
-    /// lifecycle fix as the threaded path, which shares the engine)
-    /// and makes one best-effort non-blocking attempt at the final
-    /// acks. A peer that is gone, or whose socket buffer is full while
-    /// closing, loses only acks — its retry layer covers them.
-    pub(crate) fn finish(&mut self, io: &mut impl Write, ctx: &ConnCtx) {
-        self.engine.finish(ctx, &mut self.acks);
-        let _ = self.flush(io, ctx);
-    }
-
-    /// Clears a backpressure pause (shutdown drain reads regardless:
-    /// the daemon is about to close the socket either way, and the
-    /// buffered frames must reach the store).
-    fn unpause_for_drain(&mut self) {
-        self.paused = false;
-    }
-}
-
 /// One slab slot: the socket, its state machine, its per-connection
 /// context (trace id), and the interest set currently registered.
 struct Slot {
@@ -230,7 +74,7 @@ struct Slot {
 
 fn desired_interest(state: &ConnState) -> Interest {
     if state.wants_writable() {
-        if state.paused {
+        if state.reads_paused() {
             // Reads are paused: only the drain matters.
             Interest::WRITABLE
         } else {
@@ -538,13 +382,12 @@ impl Write for ScriptedIo<'_> {
     }
 }
 
-/// Drives one session through the reactor's [`ConnState`] machine over
-/// in-memory chunks — the exact non-blocking read/flush/backpressure
-/// path of a worker, minus the epoll instance. The counterpart of
-/// [`crate::serve_binary_chunks`] (threaded seam): running both over
-/// the same schedule and comparing accounting is the
-/// reactor-vs-threaded equivalence property, and the qtag-check models
-/// interleave this driver against the shard appliers.
+/// Drives one session through the [`ConnState`] machine over in-memory
+/// chunks — the read/flush/backpressure path of either serving mode,
+/// minus the socket (whose blocking calls the qtag-check scheduler
+/// cannot preempt). The chunk-split and write-granularity invariance
+/// property runs it twice over one byte stream, and the qtag-check
+/// models interleave it against the shard appliers.
 ///
 /// `write_cap` bounds each scripted ack write (small values force
 /// partial flushes and read pauses). Returns the ack bytes the client
@@ -563,11 +406,12 @@ pub fn reactor_chunks(
         stats,
         inlet,
         shutdown,
-        obs: crate::connection::ConnObs::disabled(),
+        obs: ConnObs::disabled(),
     };
     let mut io = ScriptedIo::new(chunks, write_cap);
     let mut state = ConnState::new();
-    let mut scratch = vec![0u8; qtag_wire::framing::MAX_FRAME_LEN + 64];
+    // Each chunk plays one read, so the read buffer holds the longest.
+    let mut scratch = vec![0u8; chunks.iter().map(Vec::len).max().unwrap_or(0)];
     // One "readable event" per iteration: budget 1 read, like a worker
     // seeing one level-triggered wakeup per scripted chunk.
     while let Ok(ReadOutcome::Open) = state.on_readable(&mut io, &ctx, &mut scratch, 1) {
@@ -608,7 +452,7 @@ pub fn reactor_virtual_fleet(
         stats,
         inlet,
         shutdown,
-        obs: crate::connection::ConnObs::disabled(),
+        obs: ConnObs::disabled(),
     };
     let mut scratch = vec![0u8; qtag_wire::framing::MAX_FRAME_LEN + 64];
     let mut fleet: Vec<(ScriptedIo<'_>, ConnState, bool)> = (0..sessions)
@@ -642,13 +486,12 @@ pub fn reactor_virtual_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connection::serve_binary_chunks;
     use crate::sync::Mutex;
     use qtag_server::{
         ImpressionStore, IngestConfig, IngestService, ServedImpression, ShardedStore,
     };
     use qtag_wire::framing::encode_frames;
-    use qtag_wire::sender::ACK_HELLO;
+    use qtag_wire::sender::{ACK_HELLO, ACK_LEN};
     use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
     fn beacon(id: u64, seq: u16) -> Beacon {
@@ -711,52 +554,6 @@ mod tests {
         let mut bytes = vec![ACK_HELLO];
         bytes.extend_from_slice(&encode_frames(&beacons).unwrap());
         bytes
-    }
-
-    /// The reactor state machine over scripted chunks produces the
-    /// same accounting as the threaded seam over the same schedule.
-    #[test]
-    fn chunk_driver_matches_threaded_seam() {
-        let stream = acked_stream(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let chunks: Vec<Vec<u8>> = stream.chunks(7).map(|c| c.to_vec()).collect();
-
-        let threaded = rig();
-        serve_binary_chunks(
-            Arc::clone(&threaded.cfg),
-            Arc::clone(&threaded.stats),
-            threaded.service.inlet(),
-            Arc::clone(&threaded.shutdown),
-            &chunks,
-        );
-        threaded.service.shutdown();
-
-        let reactor = rig();
-        let acks = reactor_chunks(
-            Arc::clone(&reactor.cfg),
-            Arc::clone(&reactor.stats),
-            reactor.service.inlet(),
-            Arc::clone(&reactor.shutdown),
-            &chunks,
-            4, // partial writes every flush
-        );
-        reactor.service.shutdown();
-
-        let t = threaded.stats.snapshot();
-        let r = reactor.stats.snapshot();
-        assert_eq!(t.frames_decoded, r.frames_decoded);
-        assert_eq!(t.corrupt_frames, r.corrupt_frames);
-        assert_eq!(t.bytes_read, r.bytes_read);
-        assert_eq!(t.acked_connections, r.acked_connections);
-        assert_eq!(t.resync_bytes, r.resync_bytes);
-        assert_eq!(t.corrupt_frame_bytes, r.corrupt_frame_bytes);
-        assert_eq!(
-            threaded.store.unique_beacons(),
-            reactor.store.unique_beacons()
-        );
-        // The threaded seam never flushes (no socket); the reactor
-        // driver must have acked every accepted frame.
-        assert_eq!(acks.len(), 8 * ACK_LEN);
-        assert_eq!(r.acks_sent, 8);
     }
 
     /// A tiny write cap plus a tiny ack buffer forces the
@@ -825,7 +622,7 @@ mod tests {
             stats: Arc::clone(&r.stats),
             inlet: r.service.inlet(),
             shutdown: Arc::clone(&r.shutdown),
-            obs: crate::connection::ConnObs::disabled(),
+            obs: ConnObs::disabled(),
         };
         let chunks = vec![encode_frames(&[beacon(1, 0)]).unwrap()];
         let mut io = ScriptedIo::new(&chunks, 64);

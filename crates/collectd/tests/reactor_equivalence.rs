@@ -1,20 +1,20 @@
-//! Reactor-vs-threaded equivalence property: for ANY session byte
-//! stream — acked or plain, clean or corrupted, split into arbitrary
-//! read-sized chunks — the reactor's non-blocking state machine
-//! ([`qtag_collectd::reactor_chunks`]) and the threaded blocking path
-//! ([`qtag_collectd::serve_binary_chunks`]) must produce bit-identical
-//! accounting: same decode/corrupt/resync counters, same applied
-//! beacons, same store contents. This is the contract that makes
-//! `--reactor` a pure serving-shape switch rather than a second
-//! protocol implementation.
+//! Chunk-split and write-granularity invariance of the connection
+//! state machine: for ANY session byte stream — acked or plain, clean
+//! or corrupted — delivering it in arbitrary read-sized chunks with
+//! acks leaving in arbitrary partial writes must produce bit-identical
+//! accounting to delivering it in one read with one unbounded write:
+//! same decode/corrupt/resync counters, same applied beacons, same
+//! store contents, one ack per accepted frame. Both serving modes
+//! drive this one machine ([`qtag_collectd::reactor_chunks`] is its
+//! socket-free driver) and differ only in how the kernel happens to
+//! slice reads and writes for them — which is exactly what this
+//! property says cannot matter.
 #![cfg(target_os = "linux")]
 
 use proptest::prelude::*;
 use qtag_collectd::sync::atomic::AtomicBool;
 use qtag_collectd::sync::Arc;
-use qtag_collectd::{
-    reactor_chunks, serve_binary_chunks, CollectorConfig, CollectorStats, OpsSnapshot,
-};
+use qtag_collectd::{reactor_chunks, CollectorConfig, CollectorStats, OpsSnapshot};
 use qtag_server::{IngestConfig, IngestService, ServedImpression, ShardedStore};
 use qtag_wire::framing::encode_frames;
 use qtag_wire::sender::{ACK_HELLO, ACK_LEN};
@@ -84,9 +84,8 @@ fn build_chunks(frames: &[GenFrame], acked: bool, cuts: &[usize]) -> (Vec<Vec<u8
     let mut points: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
     points.push(0);
     points.push(stream.len());
-    // The chunk drivers model one read(2) per chunk, so a chunk must
-    // fit the readers' scratch buffer; force cut points at least every
-    // 96 bytes (scratch is MAX_FRAME_LEN + 64 = 128).
+    // Force cut points at least every 96 bytes, so any session longer
+    // than that is split across reads however few random cuts it drew.
     points.extend((0..stream.len()).step_by(96));
     points.sort_unstable();
     points.dedup();
@@ -124,7 +123,7 @@ fn rig() -> Rig {
             workers: 1,
             batch: 8,
             // Roomy inlet: shedding depends on applier timing, which
-            // would make the two runs incomparable. Equivalence under
+            // would make the two runs incomparable. Conservation under
             // shedding is covered by the qtag_check models, where the
             // schedule itself is controlled.
             inlet_capacity: 4096,
@@ -160,64 +159,69 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any schedule of frames (some corrupt), any chunking, acked or
-    /// not, any ack write granularity: both serving paths account
-    /// identically and the store converges to the same state.
+    /// not, any ack write granularity: the machine accounts exactly as
+    /// it does for the same bytes in one read and one write, and the
+    /// store converges to the same state.
     #[test]
-    fn reactor_matches_threaded_on_any_schedule(
+    fn accounting_is_invariant_to_chunking_and_write_granularity(
         frames in prop::collection::vec(frame_strategy(), 1..24),
         acked in any::<bool>(),
         cuts in prop::collection::vec(0usize..4096, 0..12),
         write_cap in 1usize..64,
     ) {
         let (chunks, sent, corrupted) = build_chunks(&frames, acked, &cuts);
+        let whole = vec![chunks.concat()];
 
-        let threaded = rig();
-        serve_binary_chunks(
-            Arc::clone(&threaded.cfg),
-            Arc::clone(&threaded.stats),
-            threaded.service.inlet(),
-            Arc::clone(&threaded.shutdown),
-            &chunks,
+        let rig_w = rig();
+        let whole_acks = reactor_chunks(
+            Arc::clone(&rig_w.cfg),
+            Arc::clone(&rig_w.stats),
+            rig_w.service.inlet(),
+            Arc::clone(&rig_w.shutdown),
+            &whole,
+            usize::MAX,
         );
-        let (t, t_unique) = threaded.settle();
+        let (w, w_unique) = rig_w.settle();
 
-        let reactor = rig();
-        let ack_bytes = reactor_chunks(
-            Arc::clone(&reactor.cfg),
-            Arc::clone(&reactor.stats),
-            reactor.service.inlet(),
-            Arc::clone(&reactor.shutdown),
+        let rig_s = rig();
+        let split_acks = reactor_chunks(
+            Arc::clone(&rig_s.cfg),
+            Arc::clone(&rig_s.stats),
+            rig_s.service.inlet(),
+            Arc::clone(&rig_s.shutdown),
             &chunks,
             write_cap,
         );
-        let (r, r_unique) = reactor.settle();
+        let (s, s_unique) = rig_s.settle();
 
         // Decode-side accounting: bit-identical.
-        prop_assert_eq!(t.collector.frames_decoded, r.collector.frames_decoded);
-        prop_assert_eq!(t.collector.corrupt_frames, r.collector.corrupt_frames);
-        prop_assert_eq!(t.collector.corrupt_frame_bytes, r.collector.corrupt_frame_bytes);
-        prop_assert_eq!(t.collector.resync_bytes, r.collector.resync_bytes);
-        prop_assert_eq!(t.collector.bytes_read, r.collector.bytes_read);
-        prop_assert_eq!(t.collector.acked_connections, r.collector.acked_connections);
+        prop_assert_eq!(w.collector.frames_decoded, s.collector.frames_decoded);
+        prop_assert_eq!(w.collector.corrupt_frames, s.collector.corrupt_frames);
+        prop_assert_eq!(w.collector.corrupt_frame_bytes, s.collector.corrupt_frame_bytes);
+        prop_assert_eq!(w.collector.resync_bytes, s.collector.resync_bytes);
+        prop_assert_eq!(w.collector.bytes_read, s.collector.bytes_read);
+        prop_assert_eq!(w.collector.acked_connections, s.collector.acked_connections);
 
         // Ingest-side accounting and the store itself agree.
-        prop_assert_eq!(t.ingest.beacons, r.ingest.beacons);
-        prop_assert_eq!(t.ingest.shed_beacons, 0u64);
-        prop_assert_eq!(r.ingest.shed_beacons, 0u64);
-        prop_assert_eq!(t_unique, r_unique);
+        prop_assert_eq!(w.ingest.beacons, s.ingest.beacons);
+        prop_assert_eq!(w.ingest.shed_beacons, 0u64);
+        prop_assert_eq!(s.ingest.shed_beacons, 0u64);
+        prop_assert_eq!(w_unique, s_unique);
 
-        // Both modes conserve the same ground truth.
-        prop_assert!(t.conserves(sent + corrupted), "threaded: {:?}", t);
-        prop_assert!(r.conserves(sent + corrupted), "reactor: {:?}", r);
-        prop_assert_eq!(t.collector.corrupt_frames, corrupted);
+        // Both deliveries conserve the same ground truth.
+        prop_assert!(w.conserves(sent + corrupted), "whole: {:?}", w);
+        prop_assert!(s.conserves(sent + corrupted), "split: {:?}", s);
+        prop_assert_eq!(w.collector.corrupt_frames, corrupted);
 
-        // The reactor must have flushed one ack per accepted frame —
+        // One ack per accepted frame must have left — in one write, and
         // through whatever partial-write schedule `write_cap` forced.
-        if acked {
-            prop_assert_eq!(ack_bytes.len() as u64, r.ingest.beacons * ACK_LEN as u64);
-            prop_assert_eq!(r.collector.acks_sent, r.ingest.beacons);
-        } else {
-            prop_assert_eq!(ack_bytes.len(), 0);
+        for (ops, ack_bytes) in [(&w, &whole_acks), (&s, &split_acks)] {
+            if acked {
+                prop_assert_eq!(ack_bytes.len() as u64, ops.ingest.beacons * ACK_LEN as u64);
+                prop_assert_eq!(ops.collector.acks_sent, ops.ingest.beacons);
+            } else {
+                prop_assert_eq!(ack_bytes.len(), 0);
+            }
         }
     }
 }

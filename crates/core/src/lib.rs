@@ -41,7 +41,6 @@ mod fps;
 mod layout;
 mod state;
 mod tag;
-mod uplink;
 
 pub use area::AreaEstimator;
 pub use config::QTagConfig;
@@ -50,4 +49,3 @@ pub use fps::RateSampler;
 pub use layout::PixelLayout;
 pub use state::{ViewEvent, ViewabilityMachine};
 pub use tag::QTag;
-pub use uplink::TagUplink;

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 /// Default capacity of each shard's batch channel, in *batches*.
 /// Parser workers block when a channel fills (backpressure propagates
-/// to their chunk queues); [`BeaconInlet::offer`] sheds instead.
+/// to their chunk queues); [`BeaconInlet::offer_batch`] sheds instead.
 pub const DEFAULT_INLET_CAPACITY: usize = 1_024;
 
 /// Default maximum beacons per batch handed to a shard applier. One
@@ -238,9 +238,8 @@ impl BatchOutcome {
 /// Clonable handle pushing already-decoded beacons straight to the
 /// shard appliers, bypassing the parser workers. Transports that
 /// decode in their own threads (the collector daemon) use this;
-/// [`BeaconInlet::offer`] and [`BeaconInlet::offer_batch`] never
-/// block, so a slow applier sheds load here instead of stalling
-/// connection readers.
+/// [`BeaconInlet::offer_batch`] never blocks, so a slow applier sheds
+/// load here instead of stalling connection readers.
 ///
 /// The inlet holds only a weak reference to the shard channels:
 /// [`IngestService::shutdown`] severs them, after which every hand-off
@@ -254,76 +253,14 @@ pub struct BeaconInlet {
 }
 
 impl BeaconInlet {
-    /// Non-blocking hand-off. Returns `true` if the beacon was
-    /// accepted (counted in `beacons`), `false` if it was shed
-    /// (counted in `shed_beacons`) or the service is gone (counted in
-    /// `rejected_after_shutdown`). Every offered beacon lands in
-    /// exactly one of the counters, which keeps end-to-end
-    /// conservation checks exact.
-    pub fn offer(&self, beacon: Beacon) -> bool {
-        let Some(txs) = self.txs.upgrade() else {
-            // ordering: monotone stat counter; exact reads happen after
-            // shutdown() joins, in-flight snapshots tolerate staleness.
-            self.stats
-                .rejected_after_shutdown
-                .fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        let shard = shard_of(beacon.impression_id, self.shards);
-        match txs[shard].try_send(vec![beacon]) {
-            Ok(()) => {
-                self.stats.beacons.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                self.stats.beacon_batches.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                true
-            }
-            Err(TrySendError::Full(_)) => {
-                self.stats.shed_beacons.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                false
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // ordering: monotone stat; exact reads only after join.
-                self.stats
-                    .rejected_after_shutdown
-                    .fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
-    /// Blocking hand-off for callers that prefer backpressure to loss.
-    /// Returns `false` (counted in `rejected_after_shutdown`, *not* in
-    /// `shed_beacons` — this is not an overload signal) only if the
-    /// service is gone.
-    pub fn send(&self, beacon: Beacon) -> bool {
-        let Some(txs) = self.txs.upgrade() else {
-            // ordering: monotone stat; exact reads only after join.
-            self.stats
-                .rejected_after_shutdown
-                .fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        let shard = shard_of(beacon.impression_id, self.shards);
-        match txs[shard].send(vec![beacon]) {
-            Ok(()) => {
-                self.stats.beacons.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                self.stats.beacon_batches.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                true
-            }
-            Err(_) => {
-                // ordering: monotone stat; exact reads only after join.
-                self.stats
-                    .rejected_after_shutdown
-                    .fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
     /// Non-blocking batched hand-off: one channel operation per shard
-    /// touched, amortising the per-beacon cost [`BeaconInlet::offer`]
-    /// pays. `on_accept` runs once per *accepted* beacon (collectors
-    /// use it to emit acks); shed and rejected beacons never reach it.
-    /// A full shard channel sheds that shard's whole sub-batch.
+    /// touched. Every offered beacon lands in exactly one counter —
+    /// accepted (`beacons`), shed (`shed_beacons`) or refused because
+    /// the service is gone (`rejected_after_shutdown`) — which keeps
+    /// end-to-end conservation checks exact. `on_accept` runs once per
+    /// *accepted* beacon (collectors use it to emit acks); shed and
+    /// rejected beacons never reach it. A full shard channel sheds
+    /// that shard's whole sub-batch.
     pub fn offer_batch(
         &self,
         beacons: &[Beacon],
@@ -370,9 +307,11 @@ impl BeaconInlet {
         outcome
     }
 
-    /// Blocking batched hand-off (backpressure instead of shedding).
-    /// Returns the outcome; `rejected` is non-zero only if the service
-    /// shut down mid-call.
+    /// Blocking batched hand-off for callers that prefer backpressure
+    /// to loss. Returns the outcome; `rejected` (counted in
+    /// `rejected_after_shutdown`, *not* in `shed_beacons` — this is
+    /// not an overload signal) is non-zero only if the service is
+    /// gone.
     pub fn send_batch(&self, beacons: &[Beacon]) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
         if beacons.is_empty() {
@@ -1032,8 +971,12 @@ mod tests {
         store.lock().record_served(served(3));
         let service = IngestService::start(Arc::clone(&store), 1);
         let inlet = service.inlet();
-        assert!(inlet.offer(beacon(3, 0, EventKind::Measurable)));
-        assert!(inlet.offer(beacon(3, 1, EventKind::InView)));
+        for b in [
+            beacon(3, 0, EventKind::Measurable),
+            beacon(3, 1, EventKind::InView),
+        ] {
+            assert_eq!(inlet.offer_batch(&[b], |_| {}).accepted, 1);
+        }
         let stats = Arc::clone(service.stats_arc());
         service.shutdown();
         assert_eq!(stats.beacons.load(Ordering::Relaxed), 2);
@@ -1083,7 +1026,8 @@ mod tests {
         {
             let _guard = store.lock();
             while offered < 1_000 {
-                if inlet.offer(beacon(9, offered as u16, EventKind::Heartbeat)) {
+                let b = beacon(9, offered as u16, EventKind::Heartbeat);
+                if inlet.offer_batch(&[b], |_| {}).accepted == 1 {
                     accepted += 1;
                 } else if offered > 16 {
                     // Channel is demonstrably full; stop after proving
@@ -1113,20 +1057,21 @@ mod tests {
         store.lock().record_served(served(5));
         let service = IngestService::start(Arc::clone(&store), 1);
         let inlet = service.inlet();
-        assert!(inlet.send(beacon(5, 0, EventKind::Measurable)));
+        let sent = |b| inlet.send_batch(&[b]).accepted == 1;
+        assert!(sent(beacon(5, 0, EventKind::Measurable)));
         let stats = Arc::clone(service.stats_arc());
         // The inlet clone stays alive across shutdown — allowed now.
         service.shutdown();
-        assert!(!inlet.send(beacon(5, 1, EventKind::InView)));
-        assert!(!inlet.offer(beacon(5, 2, EventKind::Heartbeat)));
+        assert!(!sent(beacon(5, 1, EventKind::InView)));
         let outcome = inlet.offer_batch(
             &[
+                beacon(5, 2, EventKind::Heartbeat),
                 beacon(5, 3, EventKind::Heartbeat),
                 beacon(5, 4, EventKind::Heartbeat),
             ],
             |_| panic!("no beacon may be accepted after shutdown"),
         );
-        assert_eq!(outcome.rejected, 2);
+        assert_eq!(outcome.rejected, 3);
         let snap = stats.snapshot();
         assert_eq!(snap.beacons, 1);
         assert_eq!(snap.shed_beacons, 0, "shutdown rejection is not shedding");

@@ -72,9 +72,7 @@ fn offer_vs_shutdown_conserves_every_beacon() {
         let offerer = thread::spawn(move || {
             let mut accepted = 0u64;
             for seq in 0..2u16 {
-                if inlet.offer(beacon(1, seq)) {
-                    accepted += 1;
-                }
+                accepted += inlet.offer_batch(&[beacon(1, seq)], |_| {}).accepted;
             }
             accepted
         });
@@ -120,9 +118,7 @@ fn sharded_handoff_applies_all_accepted() {
         let stats = Arc::clone(service.stats_arc());
         let inlet = service.inlet();
         let offerer = thread::spawn(move || {
-            let a = inlet.send(beacon(0, 0)) as u64;
-            let b = inlet.send(beacon(3, 0)) as u64;
-            a + b
+            inlet.send_batch(&[beacon(0, 0)]).accepted + inlet.send_batch(&[beacon(3, 0)]).accepted
         });
         service.shutdown();
         let accepted = offerer.join().unwrap();

@@ -1,5 +1,5 @@
-//! The [`StorageBackend`] trait and its two implementations: the
-//! default in-memory backend and the WAL-backed durable backend.
+//! The [`StorageBackend`] trait and its implementation, the
+//! WAL-backed durable backend.
 //!
 //! ## Journal discipline
 //!
@@ -64,15 +64,16 @@ use qtag_wire::Beacon;
 use std::io;
 use std::path::PathBuf;
 
-/// Common surface of the in-memory and durable stores. The collector
-/// daemon and the bench pipelines program against this; swapping
-/// backends changes durability, never observable analytics.
+/// The surface of a store the bench pipelines program against: the
+/// sharded in-memory store every read serves from, plus what makes it
+/// durable. A backend changes durability, never observable analytics.
 pub trait StorageBackend: Send + Sync {
     /// The sharded in-memory store every read path serves from.
     fn store(&self) -> &ShardedStore;
 
     /// Journal hook to thread into [`qtag_server::IngestConfig`] so
-    /// shard appliers write ahead; `None` for the in-memory backend.
+    /// shard appliers write ahead; `None` for a backend that keeps no
+    /// log.
     fn journal(&self) -> Option<Arc<dyn ShardJournal>>;
 
     /// Registers a served impression (journaled when durable).
@@ -84,7 +85,7 @@ pub trait StorageBackend: Send + Sync {
     fn apply(&self, beacon: &Beacon);
 
     /// Journals an ack confirmation (no store effect; the durable log
-    /// keeps the full conversation for audit). No-op when in-memory.
+    /// keeps the full conversation for audit).
     fn append_ack(&self, impression_id: u64, seq: u16);
 
     /// Forces everything journaled so far to stable storage.
@@ -92,42 +93,6 @@ pub trait StorageBackend: Send + Sync {
 
     /// Snapshots every shard and truncates its WAL.
     fn compact(&self) -> io::Result<()>;
-}
-
-/// The default backend: the sharded in-memory store, nothing else.
-/// Tier-1 tests and every pre-existing call site run on this.
-#[derive(Debug, Clone)]
-pub struct MemoryBackend {
-    store: ShardedStore,
-}
-
-impl MemoryBackend {
-    /// Wraps a sharded store.
-    pub fn new(store: ShardedStore) -> Self {
-        MemoryBackend { store }
-    }
-}
-
-impl StorageBackend for MemoryBackend {
-    fn store(&self) -> &ShardedStore {
-        &self.store
-    }
-    fn journal(&self) -> Option<Arc<dyn ShardJournal>> {
-        None
-    }
-    fn record_served(&self, s: ServedImpression) {
-        self.store.record_served(s);
-    }
-    fn apply(&self, beacon: &Beacon) {
-        self.store.apply(beacon);
-    }
-    fn append_ack(&self, _impression_id: u64, _seq: u16) {}
-    fn flush(&self) -> io::Result<()> {
-        Ok(())
-    }
-    fn compact(&self) -> io::Result<()> {
-        Ok(())
-    }
 }
 
 /// Configuration for [`DurableBackend::open`].

@@ -5,19 +5,17 @@
 //! The paper's headline experiment (§5) monitors campaigns for a week;
 //! a memory-only store loses every registered impression and beacon on
 //! the first crash or restart. This crate puts the sharded store
-//! behind a [`StorageBackend`] trait with two implementations:
-//!
-//! * [`MemoryBackend`] — the existing in-memory path, still the
-//!   default (Tier-1 tests stay fast and unchanged);
-//! * [`DurableBackend`] — a per-shard append-only **write-ahead log**
-//!   (length+CRC-framed register/beacon/ack records, batched appends
-//!   riding the ingest pipeline's batch channels, [`SyncPolicy`]
-//!   selectable), **crash recovery** that replays the log back into
-//!   shard state — including the `SeqSeen` dedup trackers, bit for
-//!   bit — **snapshot compaction** that truncates the log, and
-//!   hourly/daily **rollups** (timelines plus mergeable `qtag-obs`
-//!   histogram snapshots) so week-scale campaign timelines read from
-//!   pre-aggregated buckets instead of raw beacons.
+//! behind a [`StorageBackend`] trait, implemented by
+//! [`DurableBackend`]: a per-shard append-only **write-ahead log**
+//! (length+CRC-framed register/beacon/ack records, batched appends
+//! riding the ingest pipeline's batch channels, [`SyncPolicy`]
+//! selectable), **crash recovery** that replays the log back into
+//! shard state — including the `SeqSeen` dedup trackers, bit for
+//! bit — **snapshot compaction** that truncates the log, and
+//! hourly/daily **rollups** (timelines plus mergeable `qtag-obs`
+//! histogram snapshots) so week-scale campaign timelines read from
+//! pre-aggregated buckets instead of raw beacons. A process that
+//! wants no durability uses the bare `ShardedStore` and no backend.
 //!
 //! The correctness bar, enforced by this crate's tests plus the
 //! root-level kill-and-recover and durable-equivalence suites:
@@ -27,8 +25,8 @@
 //!
 //! Module map: [`record`] (frame codec), [`wal`] (file layout, writer,
 //! torn-tail replay), [`snapshot`] (compaction artifact), [`rollup`]
-//! (time-windowed aggregates), [`backend`] (the trait and both
-//! implementations).
+//! (time-windowed aggregates), [`backend`] (the trait and the durable
+//! backend).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,9 +38,7 @@ pub mod snapshot;
 pub mod sync;
 pub mod wal;
 
-pub use backend::{
-    replay_into, DurableBackend, DurableConfig, MemoryBackend, RecoveryReport, StorageBackend,
-};
+pub use backend::{replay_into, DurableBackend, DurableConfig, RecoveryReport, StorageBackend};
 pub use record::{crc32, RecordError, WalRecord};
 pub use rollup::ShardRollup;
 pub use snapshot::{read_snapshot, write_snapshot, ShardSnapshot};
