@@ -32,14 +32,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-fn arg(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 #[derive(Serialize, Clone, Copy)]
 struct Row {
     loss: f64,
@@ -53,8 +45,8 @@ struct Row {
 
 fn main() {
     let out = ExperimentOutput::from_args();
-    let n = arg("--impressions").unwrap_or(2_000);
-    let seed = arg("--seed").unwrap_or(41);
+    let n = out.arg("--impressions").unwrap_or(2_000);
+    let seed = out.arg("--seed").unwrap_or(41);
     let loss_levels = [0.0, 0.05, 0.10, 0.20, 0.30];
 
     let population = Population::new(PopulationConfig::default());

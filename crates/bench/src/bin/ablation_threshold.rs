@@ -102,7 +102,7 @@ fn accuracy(threshold_fps: f64, cpu_load: f64, n: u32, seed: u64) -> f64 {
 
 fn main() {
     let out = ExperimentOutput::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = out.flag("--smoke");
     let n = if smoke { 60 } else { 250 };
     let thresholds = [20.0, 30.0, 40.0, 50.0];
     let loads = [0.0, 0.2, 0.4, 0.6, 0.75];

@@ -21,14 +21,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-fn arg(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 #[derive(Debug, Serialize)]
 struct Row {
     above_fold_share: f64,
@@ -38,8 +30,8 @@ struct Row {
 
 fn main() {
     let out = ExperimentOutput::from_args();
-    let sessions = arg("--sessions").unwrap_or(8_000);
-    let seed = arg("--seed").unwrap_or(22);
+    let sessions = out.arg("--sessions").unwrap_or(8_000);
+    let seed = out.arg("--seed").unwrap_or(22);
 
     let population = Population::new(PopulationConfig::default());
     let fold_shares = [0.05, 0.20, 0.35, 0.50, 0.70, 0.90];

@@ -16,14 +16,6 @@
 use qtag_bench::{format_pct, run_production, ExperimentOutput, ProductionConfig};
 use serde::Serialize;
 
-fn arg(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 /// Revenue uplift per day for a DSP serving `ads_per_day` at `cpm`
 /// dollars, when switching from a solution measuring `rate_from` to one
 /// measuring `rate_to`, with `viewability` of measured ads viewed.
@@ -37,8 +29,8 @@ fn main() {
     let out = ExperimentOutput::from_args();
     let cfg = ProductionConfig {
         campaigns: 4,
-        impressions_per_campaign: arg("--impressions").unwrap_or(2_500) as u32,
-        seed: arg("--seed").unwrap_or(61),
+        impressions_per_campaign: out.arg("--impressions").unwrap_or(2_500) as u32,
+        seed: out.arg("--seed").unwrap_or(61),
         ..ProductionConfig::default()
     };
     eprintln!("measuring rates from a production-pipeline run …");

@@ -16,20 +16,12 @@
 
 use qtag_bench::{format_pct, run_production, ExperimentOutput, ProductionConfig};
 
-fn arg(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let out = ExperimentOutput::from_args();
     let cfg = ProductionConfig {
-        campaigns: arg("--campaigns").unwrap_or(4) as u32,
-        impressions_per_campaign: arg("--impressions").unwrap_or(5_000) as u32,
-        seed: arg("--seed").unwrap_or(2019),
+        campaigns: out.arg("--campaigns").unwrap_or(4) as u32,
+        impressions_per_campaign: out.arg("--impressions").unwrap_or(5_000) as u32,
+        seed: out.arg("--seed").unwrap_or(2019),
         ..ProductionConfig::default()
     };
 

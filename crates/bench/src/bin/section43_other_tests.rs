@@ -21,7 +21,7 @@ use serde::Serialize;
 
 fn main() {
     let out = ExperimentOutput::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = out.flag("--smoke");
     let placements = if smoke { 300 } else { 10_000 };
 
     out.section("In-view event accuracy (random placements)");

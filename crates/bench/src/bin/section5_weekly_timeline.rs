@@ -31,24 +31,12 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
-fn arg(name: &str) -> Option<u64> {
-    arg_str(name).and_then(|v| v.parse().ok())
-}
-
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let out = ExperimentOutput::from_args();
-    let total = arg("--impressions").unwrap_or(8_000);
-    let seed = arg("--seed").unwrap_or(55);
-    let wal_dir = arg_str("--wal-dir");
-    let restart_at = arg("--restart-at");
+    let total = out.arg("--impressions").unwrap_or(8_000);
+    let seed = out.arg("--seed").unwrap_or(55);
+    let wal_dir = out.arg_str("--wal-dir");
+    let restart_at = out.arg("--restart-at");
 
     let open_backend = |dir: &str| {
         DurableBackend::open(DurableConfig {

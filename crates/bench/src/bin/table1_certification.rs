@@ -18,7 +18,7 @@ use serde::Serialize;
 
 fn main() {
     let out = ExperimentOutput::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = out.flag("--smoke");
     let matrix = if smoke {
         CertificationMatrix::smoke(20)
     } else {

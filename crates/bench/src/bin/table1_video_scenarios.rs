@@ -32,24 +32,9 @@ use qtag_render::{
 };
 use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 use serde::Serialize;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn arg(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 // ---------------------------------------------------------------------
 // Resident video-fleet throughput cell
@@ -298,11 +283,13 @@ fn render_table(rows: &[ScenarioReport]) -> String {
 
 fn main() {
     let out = ExperimentOutput::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let runs = arg("--runs").unwrap_or(if smoke { 6 } else { 12 }) as usize;
-    let seed = arg("--seed").unwrap_or(2_023);
-    let fleet = arg("--fleet").unwrap_or(if smoke { 200 } else { 2_000 });
-    let frames = arg("--frames").unwrap_or(120);
+    let smoke = out.flag("--smoke");
+    let runs = out.arg("--runs").unwrap_or(if smoke { 6 } else { 12 }) as usize;
+    let seed = out.arg("--seed").unwrap_or(2_023);
+    let fleet = out
+        .arg("--fleet")
+        .unwrap_or(if smoke { 200 } else { 2_000 });
+    let frames = out.arg("--frames").unwrap_or(120);
 
     out.section("Adversarial scenario matrix — ground truth vs measured");
     eprintln!("  running {} scenarios x {runs} runs …", 9);
@@ -336,6 +323,13 @@ fn main() {
         ),
         ("scenario matrix covers >= 8 scenarios", rows.len() >= 8),
         (
+            "scenario kinds are exactly {video, display}",
+            rows.iter()
+                .map(|r| r.kind.as_str())
+                .collect::<BTreeSet<_>>()
+                == BTreeSet::from(["display", "video"]),
+        ),
+        (
             "z-order blind spot still present (measured != truth)",
             blind_gap_present,
         ),
@@ -347,7 +341,7 @@ fn main() {
         all_ok &= ok;
     }
 
-    if let Some(path) = arg_str("--table") {
+    if let Some(path) = out.arg_str("--table") {
         std::fs::write(&path, &table).expect("table written");
         println!("wrote {path}");
     }
@@ -371,7 +365,7 @@ fn main() {
         fleet_cell: cell,
         drift_checks_pass: all_ok,
     };
-    if let Some(path) = arg_str("--bench-json") {
+    if let Some(path) = out.arg_str("--bench-json") {
         std::fs::write(
             &path,
             serde_json::to_string_pretty(&payload).expect("payload serialises"),

@@ -18,20 +18,12 @@ use qtag_server::SliceKey;
 use qtag_wire::{OsKind, SiteType};
 use serde::Serialize;
 
-fn arg(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let out = ExperimentOutput::from_args();
     let cfg = ProductionConfig {
         campaigns: 4,
-        impressions_per_campaign: arg("--impressions").unwrap_or(8_000) as u32,
-        seed: arg("--seed").unwrap_or(2020),
+        impressions_per_campaign: out.arg("--impressions").unwrap_or(8_000) as u32,
+        seed: out.arg("--seed").unwrap_or(2020),
         ..ProductionConfig::default()
     };
     eprintln!(

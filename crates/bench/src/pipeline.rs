@@ -49,9 +49,8 @@ pub struct ProductionConfig {
     /// fire-and-forget — it is the black box being compared against.
     pub delivery: DeliveryMode,
     /// Registry-backed sender metrics shared by every per-session
-    /// [`BeaconSender`] the reliable path spins up (including across
-    /// the shards of [`run_production_sharded`] — the cells are
-    /// atomic). `None` skips the mirroring entirely.
+    /// [`BeaconSender`] the reliable path spins up. `None` skips the
+    /// mirroring entirely.
     pub sender_metrics: Option<Arc<SenderMetrics>>,
 }
 
@@ -98,16 +97,6 @@ impl DeliveryTotals {
         self.dropped_after_retries += s.dropped_after_retries;
         self.abandoned_unconfirmed += s.abandoned_unconfirmed;
         self.reconnects += s.reconnects;
-    }
-
-    fn merge(&mut self, o: &DeliveryTotals) {
-        self.enqueued += o.enqueued;
-        self.frames_written += o.frames_written;
-        self.retransmits += o.retransmits;
-        self.acked += o.acked;
-        self.dropped_after_retries += o.dropped_after_retries;
-        self.abandoned_unconfirmed += o.abandoned_unconfirmed;
-        self.reconnects += o.reconnects;
     }
 
     /// The fleet-level conservation identity: every enqueued beacon
@@ -276,66 +265,6 @@ pub fn run_production(cfg: &ProductionConfig) -> ProductionResults {
     }
 }
 
-/// Runs the pipeline split across `shards` OS threads, each simulating
-/// an equal slice of the per-campaign quota with an independent seed,
-/// then merges the per-campaign reports exactly (counts add). Use for
-/// paper-scale runs (the full 1.89 M-impression Figure 3 takes ~50 CPU
-/// minutes single-threaded).
-pub fn run_production_sharded(cfg: &ProductionConfig, shards: usize) -> ProductionResults {
-    assert!(shards >= 1);
-    let per_shard = (cfg.impressions_per_campaign / shards as u32).max(1);
-    let mut handles = Vec::new();
-    for s in 0..shards {
-        let mut shard_cfg = cfg.clone();
-        shard_cfg.impressions_per_campaign = per_shard;
-        shard_cfg.seed = cfg.seed.wrapping_add(s as u64 * 0x9E37_79B9);
-        handles.push(std::thread::spawn(move || run_production(&shard_cfg)));
-    }
-    let results: Vec<ProductionResults> = handles
-        .into_iter()
-        .map(|h| h.join().expect("shard thread completes"))
-        .collect();
-    merge_results(results)
-}
-
-fn merge_results(mut results: Vec<ProductionResults>) -> ProductionResults {
-    let mut merged = results.remove(0);
-    for r in results {
-        merge_reports(&mut merged.qtag_reports, r.qtag_reports);
-        merge_reports(&mut merged.verifier_reports, r.verifier_reports);
-        for (k, v) in r.qtag_slices {
-            merged.qtag_slices.entry(k).or_default().merge(&v);
-        }
-        for (k, v) in r.verifier_slices {
-            merged.verifier_slices.entry(k).or_default().merge(&v);
-        }
-        merged.served += r.served;
-        merged.spend_cpm_milli += r.spend_cpm_milli;
-        merged.delivery.merge(&r.delivery);
-    }
-    merged.qtag_summary = ReportBuilder::summary(&merged.qtag_reports);
-    merged.verifier_summary = ReportBuilder::summary(&merged.verifier_reports);
-    merged
-}
-
-fn merge_reports(into: &mut Vec<CampaignReport>, from: Vec<CampaignReport>) {
-    for report in from {
-        match into
-            .iter_mut()
-            .find(|r| r.campaign_id == report.campaign_id)
-        {
-            Some(existing) => {
-                existing.total.merge(&report.total);
-                for (k, v) in report.slices {
-                    existing.slices.entry(k).or_default().merge(&v);
-                }
-            }
-            None => into.push(report),
-        }
-    }
-    into.sort_by_key(|r| r.campaign_id);
-}
-
 fn browser_for(env: &EnvSample) -> BrowserKind {
     match (env.site_type, env.os) {
         (SiteType::App, qtag_wire::OsKind::Ios) => BrowserKind::IosWebView,
@@ -433,31 +362,6 @@ mod tests {
             "viewability rates should agree: {qv} vs {vv}"
         );
         assert!((0.3..=0.7).contains(&qv), "viewability rate {qv}");
-    }
-
-    #[test]
-    fn sharded_run_matches_sequential_totals() {
-        let cfg = ProductionConfig {
-            campaigns: 2,
-            impressions_per_campaign: 400,
-            seed: 5,
-            ..ProductionConfig::default()
-        };
-        let sharded = run_production_sharded(&cfg, 4);
-        assert_eq!(
-            sharded.served, 800,
-            "4 shards × 100 per campaign × 2 campaigns"
-        );
-        assert_eq!(sharded.qtag_reports.len(), 2);
-        // Rates must land in the same bands as the sequential pipeline.
-        let q = sharded.qtag_summary.mean_measured_rate;
-        let v = sharded.verifier_summary.mean_measured_rate;
-        assert!((0.85..=0.99).contains(&q), "qtag {q}");
-        assert!(q > v + 0.10);
-        // Per-campaign counts add exactly across shards.
-        for r in &sharded.qtag_reports {
-            assert_eq!(r.total.served, 400);
-        }
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub struct FaultProxyConfig {
     /// have been forwarded (across all connections), the proxy tears
     /// every connection down and stops accepting — the network-side
     /// shape of the collector host dying mid-stream. `None` never
-    /// crashes. Durability soaks pair this with
-    /// [`qtag_collectd::Collector::crash`] and WAL recovery.
+    /// crashes. Durability soaks pair this with `Collector::crash`
+    /// (`qtag-collectd`) and WAL recovery.
     pub crash_after: Option<u64>,
 }
 

@@ -28,7 +28,8 @@
 //! beacons sent == beacons applied + corrupt frames + shed beacons
 //! ```
 //!
-//! is exact and checkable by the load generator in `qtag-bench`.
+//! is exact, and asserted over real sockets by `tests/collectd_e2e.rs`
+//! and `tests/obs_conservation.rs`.
 //!
 //! Protocol sniffing: the first byte of a connection decides its
 //! protocol for the whole connection — `{` means JSON lines, anything
@@ -51,10 +52,10 @@ pub use collector::Collector;
 pub use config::CollectorConfig;
 pub use stats::{CollectorStats, CollectorStatsSnapshot, IngestMetrics, IngestStats, OpsSnapshot};
 
-// Socket-free drivers of the connection state machine for the
-// qtag_check schedule-exploration models (`tests/check_models.rs`),
-// the chunking-invariance property suite and the loadgen's virtual
-// fleet; not part of the supported API.
+// Socket-free driver of the connection state machine for the
+// qtag_check schedule-exploration models (`tests/check_models.rs`) and
+// the chunking-invariance property suite; not part of the supported
+// API.
 #[doc(hidden)]
 #[cfg(target_os = "linux")]
-pub use reactor::{reactor_chunks, reactor_virtual_fleet};
+pub use reactor::reactor_chunks;

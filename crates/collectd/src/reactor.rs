@@ -428,61 +428,6 @@ pub fn reactor_chunks(
     io.written
 }
 
-/// Drives `sessions` resident [`ConnState`] machines over a shared
-/// chunk schedule, round-robin one read event per connection per round
-/// — a reactor worker's interleaving at connection counts real sockets
-/// cannot reach under the process fd limit (each loopback connection
-/// burns two fds in a single-process harness). Every state machine is
-/// live for the whole run, so per-connection memory and per-event cost
-/// are measured at full fleet size; only the epoll syscalls are
-/// elided. Returns the total ack bytes the fleet's clients would have
-/// received.
-#[doc(hidden)]
-pub fn reactor_virtual_fleet(
-    cfg: Arc<CollectorConfig>,
-    stats: Arc<CollectorStats>,
-    inlet: BeaconInlet,
-    shutdown: Arc<AtomicBool>,
-    sessions: usize,
-    chunks: &[Vec<u8>],
-    write_cap: usize,
-) -> u64 {
-    let ctx = ConnCtx {
-        cfg,
-        stats,
-        inlet,
-        shutdown,
-        obs: ConnObs::disabled(),
-    };
-    let mut scratch = vec![0u8; qtag_wire::framing::MAX_FRAME_LEN + 64];
-    let mut fleet: Vec<(ScriptedIo<'_>, ConnState, bool)> = (0..sessions)
-        .map(|_| (ScriptedIo::new(chunks, write_cap), ConnState::new(), true))
-        .collect();
-    let mut open = sessions;
-    while open > 0 {
-        for (io, state, alive) in fleet.iter_mut() {
-            if !*alive {
-                continue;
-            }
-            let closed = match state.on_readable(io, &ctx, &mut scratch, 1) {
-                Ok(ReadOutcome::Open) => false,
-                Ok(ReadOutcome::Closed) | Err(_) => true,
-            };
-            while state.wants_writable() {
-                if state.on_writable(io, &ctx).is_err() {
-                    break;
-                }
-            }
-            if closed {
-                state.finish(io, &ctx);
-                *alive = false;
-                open -= 1;
-            }
-        }
-    }
-    fleet.iter().map(|(io, _, _)| io.written.len() as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

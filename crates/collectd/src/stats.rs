@@ -47,7 +47,7 @@ pub struct OpsSnapshot {
 }
 
 impl OpsSnapshot {
-    /// The conservation identity the load generator verifies: every
+    /// The conservation identity the end-to-end suites assert: every
     /// beacon fully written by clients is either applied, counted
     /// corrupt, counted shed, or (only when a hand-off races the
     /// daemon's shutdown) counted rejected — nothing vanishes. In a

@@ -67,8 +67,8 @@ fn json_snapshot_matches_golden() {
     assert_matches_golden("snapshot.json", &fixture().render_json());
 }
 
-/// The schema gate, in the same spirit as CI's `BENCH_ingest.json`
-/// check: parse the JSON sink and require the per-metric contract —
+/// The schema gate: parse the JSON sink and require the per-metric
+/// contract —
 /// every entry carries `type` + `help`, counters/gauges a `value`,
 /// histograms `count`/`sum`/`buckets` with `le`-keyed entries.
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end test for the `qtag-collectd` daemon over real localhost
 //! TCP: concurrent binary and JSON clients, chunk-split writes, abrupt
-//! mid-frame disconnects, graceful shutdown, and the loadgen
-//! acceptance floor of 100k beacons/sec — all judged by the exact
+//! mid-frame disconnects, graceful shutdown, and the acceptance
+//! floor of 100k beacons/sec — all judged by the exact
 //! conservation identity
 //!
 //! ```text
@@ -175,8 +175,8 @@ fn graceful_shutdown_drains_beacons_into_store_verdicts() {
 /// exactly, graceful drain included in the clock.
 ///
 /// The 100k floor is enforced in optimized builds (the regime the
-/// acceptance is defined for; the release loadgen sustains ~1M
-/// beacons/s — see results/collectd_loadgen.txt). Debug builds run
+/// acceptance is defined for; a release daemon sustains ~1M
+/// beacons/s — see EXPERIMENTS.md). Debug builds run
 /// the identical scenario against a 10x-reduced floor so unoptimized
 /// `cargo test` still catches order-of-magnitude regressions without
 /// flaking on slow single-core runners.

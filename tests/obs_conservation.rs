@@ -1,6 +1,6 @@
 //! Cross-crate conservation through the metrics registry: the scraped
 //! totals must reproduce the exact end-to-end identities the legacy
-//! stats structs judge — for a fire-and-forget loadgen run,
+//! stats structs judge — for a fire-and-forget run,
 //!
 //! ```text
 //! sent == applied + corrupt + shed + rejected_after_shutdown
@@ -28,6 +28,7 @@ use qtag_store::{
 use qtag_wire::framing::encode_frames;
 use qtag_wire::sender::{BeaconSender, SenderConfig, SenderMetrics, TcpTransport};
 use qtag_wire::{binary, AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -159,6 +160,57 @@ fn fire_and_forget_registry_reproduces_collector_identity() {
     assert_eq!(hist.count, groups, "one latency observation per group");
     assert_eq!(get(&snap, "qtag_ingest_queue_depth"), 0, "drained");
     assert_eq!(get(&snap, "qtag_collectd_connections_active"), 0);
+
+    // Both exposition sinks, rendered from this daemon's registry after
+    // real traffic: every family an operator scrapes is documented,
+    // names come out sorted, and text and JSON agree metric for metric.
+    // (Byte-exact formats are pinned by qtag-obs's golden_exposition.)
+    let prom = registry.render_prometheus();
+    for family in [
+        "qtag_collectd_frames_decoded_total",
+        "qtag_collectd_corrupt_frames_total",
+        "qtag_ingest_beacons_total",
+        "qtag_ingest_shed_beacons_total",
+        "qtag_ingest_rejected_after_shutdown_total",
+        "qtag_ingest_apply_latency_us",
+        "qtag_ingest_queue_depth",
+    ] {
+        assert!(prom.contains(&format!("# HELP {family} ")), "{family}");
+        assert!(prom.contains(&format!("# TYPE {family} ")), "{family}");
+    }
+    let documented: Vec<&str> = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("# HELP ")?.split(' ').next())
+        .collect();
+    assert!(documented.windows(2).all(|w| w[0] < w[1]), "name-sorted");
+    let samples: HashMap<&str, u64> = prom
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .map(|(series, sample)| (series, sample.parse().expect("integer sample")))
+        .collect();
+    let series = |name: &str| samples.get(name).copied();
+    let json = serde_json::from_str_value(&registry.render_json()).expect("JSON sink parses");
+    let metrics = json.as_map().expect("JSON sink is one object");
+    assert_eq!(
+        metrics.len(),
+        documented.len(),
+        "same metrics in both sinks"
+    );
+    for (name, metric) in metrics {
+        let fields = metric.as_map().expect("metric object");
+        let field = |key: &str| match serde::find(fields, key) {
+            Some(serde::Value::UInt(v)) => Some(*v),
+            _ => None,
+        };
+        if serde::find(fields, "type").and_then(|t| t.as_str()) == Some("histogram") {
+            assert_eq!(series(&format!("{name}_count")), field("count"), "{name}");
+            assert_eq!(series(&format!("{name}_sum")), field("sum"), "{name}");
+        } else {
+            assert!(field("value").is_some(), "{name} has no value");
+            assert_eq!(series(name), field("value"), "sink mismatch on {name}");
+        }
+    }
 }
 
 /// Retry clients through the fault-injecting proxy: the registry's
@@ -251,6 +303,7 @@ fn retry_through_fault_proxy_registry_reproduces_sender_identity() {
         "registry sender conservation"
     );
     assert_eq!(pending, 0, "every frame resolved");
+    assert_eq!(abandoned, 0, "the drain finished: nothing left unconfirmed");
 
     // Registry vs the summed legacy stats, field by field.
     assert_eq!(enqueued, stats.iter().map(|s| s.enqueued).sum::<u64>());

@@ -17,6 +17,7 @@ use qtag_server::{
     shard_of, BeaconValidator, ImpressionStore, IngestConfig, IngestService, ReportBuilder,
     ServedImpression, ShardedStore, Timeline,
 };
+use qtag_store::{DurableBackend, DurableConfig, StorageBackend, SyncPolicy};
 use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
 const IMPRESSION_SPACE: u64 = 48;
@@ -261,26 +262,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Durability is as transparent as sharding: for ANY beacon
-    /// sequence and ANY shard count 1–16, writing through the durable
-    /// backend (real `IngestService` batches journaled into per-shard
-    /// WALs ahead of apply), then recovering from the WAL into a fresh
-    /// backend, is bit-identical to the in-memory reference run — on
-    /// reports, counters, per-impression state, and the recovered
-    /// rollup timelines.
+    /// sequence, ANY shard count 1–16 and EVERY sync policy, writing
+    /// through the durable backend (real `IngestService` batches
+    /// journaled into per-shard WALs ahead of apply), then recovering
+    /// from the WAL into a fresh backend, is bit-identical to the
+    /// in-memory reference run — on reports, counters, per-impression
+    /// state, and the recovered rollup timelines.
     #[test]
     fn durable_recovery_matches_in_memory_run(
         beacons in proptest::collection::vec(arb_beacon(), 0..250),
         shards in 1usize..=16,
         batch in prop_oneof![Just(1usize), Just(8), Just(64)],
+        sync in prop_oneof![
+            Just(SyncPolicy::NoSync),
+            Just(SyncPolicy::Batch),
+            Just(SyncPolicy::Record),
+        ],
     ) {
-        use qtag_store::{DurableBackend, DurableConfig, StorageBackend, SyncPolicy};
-
         let mut reference = ImpressionStore::new();
         let dir = wal_scratch_dir();
         let open = || DurableBackend::open(DurableConfig {
             dir: dir.clone(),
             shards,
-            sync: SyncPolicy::NoSync,
+            sync,
         });
         let (backend, fresh) = open().expect("open fresh backend");
         prop_assert_eq!(fresh.records_replayed, 0);
