@@ -260,7 +260,9 @@ impl SenderStats {
 /// agree.
 #[derive(Debug)]
 pub struct SenderMetrics {
-    /// Microseconds from a frame's most recent full write to its ack.
+    /// Microseconds from a frame's most recent full write to its ack,
+    /// on the caller's clock as passed to each pump: an ack drained by
+    /// the pump that wrote its frame records 0.
     pub ack_latency_us: Arc<Histogram>,
     /// Backoff delays (µs) the retry schedule produced, post-jitter.
     pub backoff_us: Arc<Histogram>,
@@ -471,10 +473,13 @@ impl<T: Transport> BeaconSender<T> {
         chosen
     }
 
-    /// Drives the state machine: reconnects, drains acks, writes due
-    /// frames, expires ack waits. Call it often (each simulation tick,
-    /// or every few milliseconds of wall time). Returns the number of
-    /// frames written during this pump.
+    /// Drives the state machine: reconnects, expires ack waits, writes
+    /// due frames, then drains acks. Writing before waiting means the
+    /// transport's poll (which may block briefly) waits for replies to
+    /// frames already sent, never for acks that cannot exist yet. Call
+    /// it often (each simulation tick, or every few milliseconds of
+    /// wall time). Returns the number of frames written during this
+    /// pump.
     pub fn pump(&mut self, now_us: u64) -> u64 {
         if !self.connected && now_us >= self.reconnect_due_us {
             match self.transport.reopen() {
@@ -486,30 +491,6 @@ impl<T: Transport> BeaconSender<T> {
                     self.stats.reconnect_failures += 1;
                     self.reconnect_due_us = now_us + self.cfg.reconnect_backoff_us;
                 }
-            }
-        }
-
-        if self.connected {
-            self.ack_buf.clear();
-            match self.transport.poll_acks(&mut self.ack_buf) {
-                Ok(()) => {
-                    let acks = std::mem::take(&mut self.ack_buf);
-                    for key in &acks {
-                        if let Some(frame) = self.pending.remove(key) {
-                            self.stats.acked += 1;
-                            if let Some(m) = &self.metrics {
-                                m.acked.inc();
-                                m.pending.dec();
-                                if frame.ever_written {
-                                    m.ack_latency_us
-                                        .record(now_us.saturating_sub(frame.sent_at_us));
-                                }
-                            }
-                        }
-                    }
-                    self.ack_buf = acks;
-                }
-                Err(_) => self.mark_disconnected(now_us),
             }
         }
 
@@ -599,6 +580,30 @@ impl<T: Transport> BeaconSender<T> {
             }
         }
 
+        if self.connected {
+            self.ack_buf.clear();
+            match self.transport.poll_acks(&mut self.ack_buf) {
+                Ok(()) => {
+                    let acks = std::mem::take(&mut self.ack_buf);
+                    for key in &acks {
+                        if let Some(frame) = self.pending.remove(key) {
+                            self.stats.acked += 1;
+                            if let Some(m) = &self.metrics {
+                                m.acked.inc();
+                                m.pending.dec();
+                                if frame.ever_written {
+                                    m.ack_latency_us
+                                        .record(now_us.saturating_sub(frame.sent_at_us));
+                                }
+                            }
+                        }
+                    }
+                    self.ack_buf = acks;
+                }
+                Err(_) => self.mark_disconnected(now_us),
+            }
+        }
+
         self.order.retain(|k| self.pending.contains_key(k));
         written
     }
@@ -662,6 +667,16 @@ pub struct TcpTransport {
     stream: Option<TcpStream>,
     decoder: AckDecoder,
     connect_timeout: Duration,
+    /// `SO_RCVTIMEO` of the socket: the longest one `poll_acks` waits
+    /// for its first ack bytes. Set to 1 ms, but the kernel counts the
+    /// timeout in scheduler ticks: on a 2-core KVM guest with a 4 ms
+    /// tick (HZ=250) an expired read took 8.0 ms at the median on an
+    /// idle loopback socket, and about 6.7 ms per wait under qbench's
+    /// `live_serving` load. Because the sender writes due frames
+    /// before it polls, and the poll returns as soon as what arrived is
+    /// drained, the wait is paid only while acks are owed and none has
+    /// arrived yet (or, with nothing in flight, as the caller's pump
+    /// loop pacing).
     read_poll: Duration,
 }
 
@@ -705,7 +720,14 @@ impl Transport for TcpTransport {
                     self.drop_stream();
                     return Err(TransportError::Closed);
                 }
-                Ok(n) => self.decoder.extend(&buf[..n], out),
+                Ok(n) => {
+                    self.decoder.extend(&buf[..n], out);
+                    // A short read emptied the receive queue: return
+                    // what arrived instead of blocking for more.
+                    if n < buf.len() {
+                        return Ok(());
+                    }
+                }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -859,6 +881,67 @@ mod tests {
         assert_eq!(stats.retransmits, 0);
         assert_eq!(stats.dropped_after_retries, 0);
         assert!(stats.conserves(0));
+    }
+
+    #[test]
+    fn one_pump_writes_then_collects_instant_acks() {
+        let mut s = BeaconSender::new(ScriptedTransport::scripted(vec![]), SenderConfig::default());
+        for seq in 0..10 {
+            assert!(s.offer(&beacon(seq), 0).unwrap());
+        }
+        assert_eq!(s.pump(0), 10);
+        assert!(s.is_idle(), "acks for this pump's writes are drained by it");
+        assert_eq!(s.stats().acked, 10);
+        assert!(s.stats().conserves(0));
+    }
+
+    /// A peer that acks each frame as soon as it reads it. With a 2 s
+    /// read timeout, the sender must neither wait for acks before its
+    /// first write nor wait out the timeout after the ack arrived.
+    #[test]
+    fn tcp_pump_waits_only_for_acks_owed() {
+        use std::net::TcpListener;
+        use std::time::Instant;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut hello = [0u8; 1];
+            conn.read_exact(&mut hello).unwrap();
+            assert_eq!(hello[0], ACK_HELLO);
+            let mut dec = crate::FrameDecoder::new();
+            let mut buf = [0u8; 256];
+            loop {
+                let n = conn.read(&mut buf).unwrap();
+                if n == 0 {
+                    return;
+                }
+                dec.extend(&buf[..n]);
+                let mut acks = Vec::new();
+                for ev in dec.drain() {
+                    if let crate::framing::FrameEvent::Beacon(b) = ev {
+                        encode_ack(AckKey::from(&b), &mut acks);
+                    }
+                }
+                conn.write_all(&acks).unwrap();
+            }
+        });
+
+        let mut transport = TcpTransport::new(addr);
+        transport.read_poll = Duration::from_secs(2);
+        let mut s = BeaconSender::new(transport, SenderConfig::default());
+        assert!(s.offer(&beacon(0), 0).unwrap());
+        let start = Instant::now();
+        while !s.is_idle() && start.elapsed() < Duration::from_secs(10) {
+            s.pump(start.elapsed().as_micros() as u64);
+        }
+        let took = start.elapsed();
+        assert!(s.is_idle(), "{:?}", s.stats());
+        assert_eq!(s.stats().acked, 1);
+        assert!(took < Duration::from_secs(1), "pumped to idle in {took:?}");
+        drop(s);
+        peer.join().unwrap();
     }
 
     #[test]
