@@ -6,7 +6,8 @@
 //!   in the theoretical error"): cost of one simulated second of a
 //!   Q-Tag deployment as the monitoring-pixel count grows.
 //! * `wire/*` — beacon codec and framing throughput (the collector's
-//!   hot path).
+//!   hot path), the two checksum kernels, and one WAL beacon encode
+//!   (the shard journal's hot path).
 //! * `region/*` — compositor occlusion math.
 //! * `server/ingest` — end-to-end ingestion service throughput.
 
@@ -17,6 +18,7 @@ use qtag_geometry::{Rect, Region, Size};
 use qtag_render::{Engine, EngineConfig, SimDuration};
 use qtag_server::sync::Mutex;
 use qtag_server::{ImpressionStore, IngestService, LossyLink, ServedImpression};
+use qtag_wire::crc::{crc16, crc32};
 use qtag_wire::{binary, framing, AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 use std::sync::Arc;
 
@@ -90,6 +92,26 @@ fn bench_wire(c: &mut Criterion) {
     let bytes = binary::encode_to_vec(&beacon).unwrap();
     group.bench_function("decode", |b| {
         b.iter(|| binary::decode(std::hint::black_box(&bytes)).unwrap())
+    });
+    // The two checksum kernels at the sizes the pipeline runs them: a
+    // beacon's checked bytes, and a WAL beacon payload.
+    group.bench_function("crc16_36B", |b| {
+        b.iter(|| crc16(std::hint::black_box(&bytes[..binary::ENCODED_LEN - 2])))
+    });
+    let mut payload = vec![qtag_store::record::KIND_BEACON];
+    payload.extend_from_slice(&bytes);
+    group.bench_function("crc32_39B", |b| {
+        b.iter(|| crc32(std::hint::black_box(&payload)))
+    });
+    // One journaled beacon: encode + CRC-16 + frame CRC-32 into a
+    // reused buffer, as the shard journal does under the shard lock.
+    let mut framed = Vec::with_capacity(64);
+    group.bench_function("wal_encode_beacon", |b| {
+        b.iter(|| {
+            framed.clear();
+            qtag_store::record::encode_beacon(std::hint::black_box(&beacon), &mut framed);
+            framed.len()
+        })
     });
     let beacons: Vec<Beacon> = (0..100).map(sample_beacon).collect();
     let stream = framing::encode_frames(&beacons).unwrap();

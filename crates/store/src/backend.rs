@@ -62,7 +62,7 @@ use qtag_server::{
 };
 use qtag_wire::Beacon;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The surface of a store the bench pipelines program against: the
 /// sharded in-memory store every read serves from, plus what makes it
@@ -101,7 +101,8 @@ pub struct DurableConfig {
     /// Directory holding `shard-NNN.wal` / `shard-NNN.snap` files
     /// (created if absent).
     pub dir: PathBuf,
-    /// Shard count; must match across restarts of the same directory.
+    /// Shard count; must match across restarts of the same directory
+    /// ([`DurableBackend::open`] refuses a mismatch).
     pub shards: usize,
     /// When appended records reach stable storage.
     pub sync: SyncPolicy,
@@ -273,16 +274,25 @@ impl DurableBackend {
     /// snapshot file was lost after compaction — unrecoverable without
     /// inventing data, so it is a hard error. Torn tails are truncated
     /// and counted.
+    ///
+    /// A directory written with another shard count is refused with
+    /// `InvalidData` — a `shard-NNN` file with NNN ≥ `config.shards`, a
+    /// WAL or snapshot header naming another shard than its file, or a
+    /// served impression that does not route to the shard holding it —
+    /// because loading it would strand verdicts on shards their beacons
+    /// never reach. Every shard is recovered before any file is opened
+    /// for writing, so a refused directory is left as it was found.
     pub fn open(config: DurableConfig) -> io::Result<(DurableBackend, RecoveryReport)> {
         assert!(config.shards >= 1, "shard count must be positive");
         std::fs::create_dir_all(&config.dir)?;
+        check_shard_files(&config.dir, config.shards)?;
         let store = ShardedStore::new(config.shards);
         let stats = Arc::new(StoreStats::new());
         let mut report = RecoveryReport {
             shards: config.shards,
             ..RecoveryReport::default()
         };
-        let mut journals = Vec::with_capacity(config.shards);
+        let mut recovered = Vec::with_capacity(config.shards);
 
         for shard in 0..config.shards {
             let snap = read_snapshot(&config.dir, shard)?;
@@ -292,6 +302,7 @@ impl DurableBackend {
                 epoch = snap.epoch;
                 let mut st = store.shard(shard).lock();
                 for s in snap.served {
+                    check_route(&store, shard, s.impression_id)?;
                     st.record_served(s);
                 }
                 for (id, rec) in snap.records {
@@ -311,6 +322,16 @@ impl DurableBackend {
             let path = wal_path(&config.dir, shard);
             let append_at = if path.exists() {
                 let r = replay(&path)?;
+                if r.header.shard != shard as u16 {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{}: WAL header names shard {}",
+                            path.display(),
+                            r.header.shard
+                        ),
+                    ));
+                }
                 if r.header.epoch < epoch {
                     // Stale log from the compaction crash window: its
                     // records are inside the snapshot already.
@@ -336,6 +357,7 @@ impl DurableBackend {
                         report.records_replayed += 1;
                         match rec {
                             crate::record::WalRecord::Served(s) => {
+                                check_route(&store, shard, s.impression_id)?;
                                 report.served_replayed += 1;
                                 st.record_served(s.clone());
                             }
@@ -358,6 +380,11 @@ impl DurableBackend {
             } else {
                 None
             };
+            recovered.push((epoch, append_at, rollup));
+        }
+
+        let mut journals = Vec::with_capacity(config.shards);
+        for (shard, (epoch, append_at, rollup)) in recovered.into_iter().enumerate() {
             let writer = WalWriter::open(&config.dir, shard, epoch, append_at, config.sync)?;
             journals.push(Mutex::new(ShardJournalState {
                 writer,
@@ -552,6 +579,48 @@ pub fn replay_into(store: &mut ImpressionStore, records: &[crate::record::WalRec
             crate::record::WalRecord::Ack { .. } => {}
         }
     }
+}
+
+/// Refuses a directory holding a `shard-NNN.{wal,snap}` file with
+/// NNN ≥ `shards`: opening it would silently drop that shard's state.
+fn check_shard_files(dir: &Path, shards: usize) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let Some((idx, ext)) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("shard-"))
+            .and_then(|n| n.split_once('.'))
+        else {
+            continue;
+        };
+        if matches!(ext, "wal" | "snap") && idx.parse::<usize>().is_ok_and(|i| i >= shards) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: store was written with more than {shards} shards",
+                    dir.join(&name).display()
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Refuses a served impression recovered into a shard it does not
+/// route to under the configured shard count.
+fn check_route(store: &ShardedStore, shard: usize, impression_id: u64) -> io::Result<()> {
+    let owner = store.shard_of(impression_id);
+    if owner == shard {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "shard {shard} holds impression {impression_id}, which routes to shard {owner} \
+             of {}: store was written with another shard count",
+            store.shard_count()
+        ),
+    ))
 }
 
 /// The Batch-policy flusher: turns per-shard dirty marks into

@@ -39,7 +39,8 @@ pub mod sync;
 pub mod wal;
 
 pub use backend::{replay_into, DurableBackend, DurableConfig, RecoveryReport, StorageBackend};
-pub use record::{crc32, RecordError, WalRecord};
+pub use qtag_wire::crc::crc32;
+pub use record::{RecordError, WalRecord};
 pub use rollup::ShardRollup;
 pub use snapshot::{read_snapshot, write_snapshot, ShardSnapshot};
 pub use wal::{replay, wal_path, Replay, SyncPolicy, WalWriter};

@@ -27,6 +27,7 @@
 //! a torn tail (see `wal.rs`) — never as data.
 
 use qtag_server::ServedImpression;
+use qtag_wire::crc::crc32;
 use qtag_wire::{binary, AdFormat, Beacon, BrowserKind, OsKind, SiteType};
 
 /// Record kind byte for a served-impression register event.
@@ -42,36 +43,6 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// the cap keeps a corrupt length field from driving a giant
 /// allocation during recovery.
 pub const MAX_PAYLOAD_LEN: usize = 256;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the ubiquity
-/// choice for append-only log framing. Byte-at-a-time table variant;
-/// the table is built at compile time.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut crc = !0u32;
-    for &b in data {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 /// One decoded WAL record.
 #[derive(Debug, Clone, PartialEq)]
@@ -308,6 +279,27 @@ mod tests {
             }
         );
         assert_eq!(n1 + n2 + n3, buf.len());
+    }
+
+    /// One frame of each kind as the log has always written them: the
+    /// checksum kernels and the beacon encoder may change, the bytes
+    /// on disk may not (header, CRC-32, payload, inner CRC-16).
+    #[test]
+    fn frames_match_the_golden_bytes() {
+        const SERVED: &str = "000000110d92c53e01000000000000002a0000000703020102";
+        const BEACON: &str = concat!(
+            "000000271188fcc2025154010200000000000000",
+            "2a00000007000000000000270f020320000005dc0302010003aab6"
+        );
+        const ACK: &str = "0000000b5eb6456103000000000000002a0003";
+        let hex = |f: fn(&mut Vec<u8>)| {
+            let mut buf = Vec::new();
+            f(&mut buf);
+            buf.iter().map(|b| format!("{b:02x}")).collect::<String>()
+        };
+        assert_eq!(hex(|b| encode_served(&sample_served(), b)), SERVED);
+        assert_eq!(hex(|b| encode_beacon(&sample_beacon(), b)), BEACON);
+        assert_eq!(hex(|b| encode_ack(42, 3, b)), ACK);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! recovery error (unlike a torn WAL tail there is no safe prefix to
 //! salvage — better to stop than to silently drop a shard's history).
 
-use crate::record::crc32;
 use qtag_server::{BucketStats, ImpressionRecord, SeqSeen, ServedImpression, TimelineState};
+use qtag_wire::crc::crc32;
 use qtag_wire::{AdFormat, BrowserKind, OsKind, SiteType};
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -385,6 +385,13 @@ pub fn read_snapshot(dir: &Path, shard: usize) -> io::Result<Option<ShardSnapsho
     }
     if u16::from_be_bytes(bytes[4..6].try_into().unwrap()) != SNAP_VERSION {
         return Err(corrupt("unsupported version"));
+    }
+    let stamped = u16::from_be_bytes(bytes[6..8].try_into().unwrap());
+    if stamped != shard as u16 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: snapshot header names shard {stamped}", path.display()),
+        ));
     }
     let epoch = u64::from_be_bytes(bytes[8..16].try_into().unwrap());
     let body = &bytes[16..bytes.len() - 4];

@@ -404,6 +404,110 @@ fn backend_stat_probe(b: &DurableBackend) -> u64 {
     snap.records_appended
 }
 
+/// Every read surface of a backend, for bit-identity checks.
+fn observable(b: &DurableBackend, ids: u64) -> impl PartialEq + std::fmt::Debug {
+    let store = b.store();
+    (
+        (0..ids)
+            .map(|id| (store.verdict(id), store.record(id)))
+            .collect::<Vec<_>>(),
+        [
+            store.unique_beacons(),
+            store.total_duplicates(),
+            store.orphan_beacons(),
+            store.served_count() as u64,
+        ],
+        ReportBuilder::per_campaign_sharded(store),
+        b.merged_hourly().export_state(),
+        b.merged_daily().export_state(),
+        b.merged_exposure(),
+        b.merged_fraction(),
+    )
+}
+
+/// Names and sizes of every file in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<(String, u64)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let len = e.metadata().expect("stat").len();
+            (e.file_name().to_string_lossy().into_owned(), len)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Swaps two files' contents by renaming.
+fn swap(a: &Path, b: &Path) {
+    let tmp = a.with_extension("swap");
+    std::fs::rename(a, &tmp).unwrap();
+    std::fs::rename(b, a).unwrap();
+    std::fs::rename(&tmp, b).unwrap();
+}
+
+/// A directory is tied to the shard count that wrote it. Reopening with
+/// more or fewer shards is refused instead of silently re-routing (which
+/// stranded verdicts on shards their beacons never reach), and the
+/// refusal leaves every file as it was, so reopening with the right
+/// count still recovers bit-identically — from the WAL alone and from
+/// snapshot + WAL. Files swapped between shards are refused by their
+/// headers.
+#[test]
+fn reopening_with_another_shard_count_is_refused() {
+    const IDS: u64 = 100;
+    let dir = test_dir("shard_count");
+    let open = |shards| {
+        DurableBackend::open(DurableConfig {
+            dir: dir.clone(),
+            shards,
+            sync: SyncPolicy::NoSync,
+        })
+    };
+    let refused = |shards| {
+        let err = open(shards)
+            .err()
+            .unwrap_or_else(|| panic!("{shards} shards accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    };
+
+    let (backend, _) = open(2).expect("open with 2 shards");
+    drive(&backend, 0..IDS);
+    let wal_only = observable(&backend, IDS);
+    drop(backend);
+
+    let files = listing(&dir);
+    refused(4);
+    refused(1);
+    assert_eq!(listing(&dir), files, "a refused open touched the directory");
+    let (backend, report) = open(2).expect("reopen with 2 shards");
+    assert_eq!(report.served_replayed, IDS / 4 * 3);
+    assert_eq!(observable(&backend, IDS), wal_only);
+
+    backend.compact().expect("compact");
+    drive(&backend, IDS..IDS * 2);
+    let snap_and_wal = observable(&backend, IDS * 2);
+    drop(backend);
+
+    let files = listing(&dir);
+    refused(4);
+    refused(1);
+    assert_eq!(listing(&dir), files, "a refused open touched the directory");
+    for ext in ["wal", "snap"] {
+        let a = dir.join(format!("shard-000.{ext}"));
+        let b = dir.join(format!("shard-001.{ext}"));
+        swap(&a, &b);
+        refused(2);
+        swap(&a, &b);
+    }
+    let (backend, report) = open(2).expect("reopen with 2 shards");
+    assert_eq!(report.snapshots_loaded, 2);
+    assert_eq!(observable(&backend, IDS * 2), snap_and_wal);
+    drop(backend);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The compaction crash window: snapshot written at epoch N+1 but the
 /// WAL still the old epoch-N log (the crash hit between the two
 /// renames). Recovery must detect the stale log via the epoch and

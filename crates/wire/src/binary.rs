@@ -33,42 +33,42 @@ pub const VERSION: u8 = 1;
 /// Encoded beacon size in bytes (fixed).
 pub const ENCODED_LEN: usize = 38;
 
-/// Encodes a beacon into `buf`.
-///
-/// Fails only when the beacon violates field ranges; the buffer grows as
-/// needed. Generic over the buffer so batching callers (the WAL journal
-/// path) can append straight into a reused `Vec<u8>` without a
-/// per-beacon heap allocation.
-pub fn encode<B>(beacon: &Beacon, buf: &mut B) -> Result<(), WireError>
-where
-    B: BufMut + std::ops::Deref<Target = [u8]>,
-{
+/// Encodes a beacon into a stack array: validate, fields, CRC.
+pub(crate) fn encode_array(beacon: &Beacon) -> Result<[u8; ENCODED_LEN], WireError> {
     beacon.validate()?;
-    let start = buf.len();
-    buf.put_slice(&MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(beacon.event.code());
-    buf.put_u64(beacon.impression_id);
-    buf.put_u32(beacon.campaign_id);
-    buf.put_u64(beacon.timestamp_us);
-    buf.put_u8(beacon.ad_format.code());
-    buf.put_u16(beacon.visible_fraction_milli);
-    buf.put_u32(beacon.exposure_ms);
-    buf.put_u8(beacon.os.code());
-    buf.put_u8(beacon.browser.code());
-    buf.put_u8(beacon.site_type.code());
-    buf.put_u16(beacon.seq);
-    let crc = crc16(&buf[start..start + ENCODED_LEN - 2]);
-    buf.put_u16(crc);
-    debug_assert_eq!(buf.len() - start, ENCODED_LEN);
+    let mut out = [0u8; ENCODED_LEN];
+    out[0..2].copy_from_slice(&MAGIC);
+    out[2] = VERSION;
+    out[3] = beacon.event.code();
+    out[4..12].copy_from_slice(&beacon.impression_id.to_be_bytes());
+    out[12..16].copy_from_slice(&beacon.campaign_id.to_be_bytes());
+    out[16..24].copy_from_slice(&beacon.timestamp_us.to_be_bytes());
+    out[24] = beacon.ad_format.code();
+    out[25..27].copy_from_slice(&beacon.visible_fraction_milli.to_be_bytes());
+    out[27..31].copy_from_slice(&beacon.exposure_ms.to_be_bytes());
+    out[31] = beacon.os.code();
+    out[32] = beacon.browser.code();
+    out[33] = beacon.site_type.code();
+    out[34..36].copy_from_slice(&beacon.seq.to_be_bytes());
+    let crc = crc16(&out[..ENCODED_LEN - 2]);
+    out[ENCODED_LEN - 2..].copy_from_slice(&crc.to_be_bytes());
+    Ok(out)
+}
+
+/// Encodes a beacon into `buf` with one append.
+///
+/// Fails only when the beacon violates field ranges, and then leaves
+/// `buf` untouched; the buffer grows as needed. Generic over the buffer
+/// so batching callers (the WAL journal path) can append straight into
+/// a reused `Vec<u8>` without a per-beacon heap allocation.
+pub fn encode<B: BufMut>(beacon: &Beacon, buf: &mut B) -> Result<(), WireError> {
+    buf.put_slice(&encode_array(beacon)?);
     Ok(())
 }
 
 /// Convenience: encodes into a fresh buffer.
 pub fn encode_to_vec(beacon: &Beacon) -> Result<Vec<u8>, WireError> {
-    let mut buf = Vec::with_capacity(ENCODED_LEN);
-    encode(beacon, &mut buf)?;
-    Ok(buf)
+    Ok(encode_array(beacon)?.to_vec())
 }
 
 /// Decodes one beacon from the front of `data`.

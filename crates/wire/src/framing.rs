@@ -23,11 +23,11 @@ use bytes::{Buf, BufMut, BytesMut};
 pub const MAX_FRAME_LEN: usize = 64;
 
 /// Encodes a beacon as one length-prefixed frame appended to `buf`.
+/// A beacon that fails validation leaves `buf` untouched.
 pub fn encode_frame(beacon: &Beacon, buf: &mut BytesMut) -> Result<(), WireError> {
-    let mut payload = BytesMut::with_capacity(binary::ENCODED_LEN);
-    binary::encode(beacon, &mut payload)?;
-    buf.reserve(2 + payload.len());
-    buf.put_u16(payload.len() as u16);
+    let payload = binary::encode_array(beacon)?;
+    buf.reserve(2 + binary::ENCODED_LEN);
+    buf.put_u16(binary::ENCODED_LEN as u16);
     buf.put_slice(&payload);
     Ok(())
 }
@@ -269,6 +269,17 @@ mod tests {
         dec.extend(&encode_frames(&[sample(7)]).unwrap());
         let events = dec.drain();
         assert_eq!(events.last(), Some(&FrameEvent::Beacon(sample(7))));
+    }
+
+    #[test]
+    fn invalid_beacon_leaves_the_buffer_untouched() {
+        let mut buf = BytesMut::new();
+        encode_frame(&sample(1), &mut buf).unwrap();
+        let mut bad = sample(2);
+        bad.visible_fraction_milli = 2000;
+        assert!(encode_frame(&bad, &mut buf).is_err());
+        assert_eq!(buf.len(), 2 + crate::binary::ENCODED_LEN);
+        assert_eq!(buf.to_vec(), encode_frames(&[sample(1)]).unwrap());
     }
 
     #[test]

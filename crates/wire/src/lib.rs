@@ -13,6 +13,8 @@
 //!   the measured quantities;
 //! * a **compact binary codec** ([`binary`]) with magic, version and a
 //!   CRC-16 integrity check — what a bandwidth-conscious tag would emit;
+//! * the pipeline's checksums ([`crc`]): that CRC-16, and the CRC-32
+//!   framing `qtag-store`'s write-ahead log and snapshots;
 //! * a **JSON codec** ([`json`]) for the interoperability path (many ad
 //!   tags report JSON over HTTP) and for human inspection;
 //! * **length-prefixed framing** with a streaming, resynchronising
