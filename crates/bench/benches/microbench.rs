@@ -16,11 +16,9 @@ use qtag_core::{AreaEstimator, PixelLayout, QTag, QTagConfig};
 use qtag_dom::{Origin, Page, Screen, Tab, TabId, WindowKind};
 use qtag_geometry::{Rect, Region, Size};
 use qtag_render::{Engine, EngineConfig, SimDuration};
-use qtag_server::sync::Mutex;
-use qtag_server::{ImpressionStore, IngestService, LossyLink, ServedImpression};
+use qtag_server::{IngestConfig, IngestService, LossyLink, ServedImpression, ShardedStore};
 use qtag_wire::crc::{crc16, crc32};
 use qtag_wire::{binary, framing, AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
-use std::sync::Arc;
 
 fn engine_with_tag(pixels: usize) -> Engine {
     let mut page = Page::new(Origin::https("pub.example"), Size::new(1280.0, 3000.0));
@@ -173,11 +171,10 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("ingest_1k_beacons_4_workers", |b| {
         b.iter_batched(
             || {
-                let store = Arc::new(Mutex::new(ImpressionStore::new()));
+                let store = ShardedStore::new(1);
                 {
-                    let mut s = store.lock();
                     for id in 0..100u64 {
-                        s.record_served(ServedImpression {
+                        store.record_served(ServedImpression {
                             impression_id: id,
                             campaign_id: 1,
                             os: OsKind::Android,
@@ -203,7 +200,13 @@ fn bench_ingest(c: &mut Criterion) {
                 (store, chunks)
             },
             |(store, chunks)| {
-                let service = IngestService::start(store, 4);
+                let service = IngestService::start_sharded(
+                    store,
+                    IngestConfig {
+                        workers: 4,
+                        ..IngestConfig::default()
+                    },
+                );
                 for (id, bytes) in chunks {
                     service.submit(id, bytes);
                 }

@@ -1,28 +1,19 @@
 //! A fault-injecting TCP proxy for soak-testing the reliable beacon
 //! path against a *real* `qtag-collectd` daemon.
 //!
-//! The proxy sits between `BeaconSender`'s `TcpTransport` and the
-//! collector and misbehaves on the client→collector direction, per
-//! forwarded chunk and deterministically per seed:
-//!
-//! * **silent drop** — the chunk vanishes; downstream framing is now
-//!   mid-frame garbage until the decoder resynchronises, so following
-//!   frames may be swallowed too (all unacked, all retried);
-//! * **partial write + reset** — a prefix of the chunk is forwarded,
-//!   then both directions are torn down (the classic page-unload /
-//!   radio-drop shape);
-//! * **stall** — the chunk is held for a configurable pause before
-//!   forwarding, long enough to fire the sender's ack timeout and
-//!   force a duplicate delivery;
-//! * **reset** — the connection dies immediately, taking any
-//!   buffered acks with it.
-//!
-//! The collector→client (ack) direction is forwarded verbatim; acks
-//! die only when their connection does, which is exactly how TCP
-//! loses them in production.
+//! Between `BeaconSender`'s `TcpTransport` and the collector, each
+//! client→collector chunk meets a [`Fate`] rolled from the config's
+//! [`FaultPlan`], per seed and connection: a reset kills the connection
+//! (and the acks buffered on it); a loss drops the chunk, leaving
+//! downstream framing mid-frame until the decoder resyncs; a corrupt
+//! chunk is cut short and the connection reset (the page-unload shape;
+//! a one-byte chunk forwards nothing); a stall holds the chunk long
+//! enough to fire the sender's ack timeout. Acks are forwarded
+//! verbatim and die only with their connection, as TCP loses them, so
+//! a plan with ack loss is refused.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use qtag_server::{Fate, FaultDice, FaultPlan, FaultStats};
+use rand::Rng;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,82 +21,52 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Fault profile of the proxy (all probabilities rolled per
-/// client→collector chunk).
+/// What the proxy does to the client→collector direction.
 #[derive(Debug, Clone)]
 pub struct FaultProxyConfig {
     /// Where the real collector listens.
     pub upstream: SocketAddr,
-    /// Master seed; connection `i` misbehaves per `seed + i`.
+    /// Master seed; connection `i` rolls its faults from `seed + i`.
     pub seed: u64,
-    /// Probability a chunk is silently dropped.
-    pub drop_rate: f64,
-    /// Probability a chunk is cut short and the connection reset.
-    pub partial_rate: f64,
-    /// Probability the connection is reset before the chunk moves.
-    pub reset_rate: f64,
-    /// Probability a chunk is stalled by `stall` before forwarding.
-    pub stall_rate: f64,
-    /// Length of an injected stall.
-    pub stall: Duration,
-    /// Hard-kill crash point: after this many client→collector chunks
-    /// have been forwarded (across all connections), the proxy tears
-    /// every connection down and stops accepting — the network-side
-    /// shape of the collector host dying mid-stream. `None` never
-    /// crashes. Durability soaks pair this with `Collector::crash`
-    /// (`qtag-collectd`) and WAL recovery.
+    /// The fate of each client→collector chunk.
+    pub plan: FaultPlan,
+    /// Hard-kill crash point: after this many forwarded chunks (all
+    /// connections), every connection is torn down and accepting stops,
+    /// as when the collector host dies. `None` never crashes.
     pub crash_after: Option<u64>,
 }
 
 impl FaultProxyConfig {
-    /// A proxy that only forwards — for differential baselines.
-    pub fn transparent(upstream: SocketAddr) -> Self {
-        FaultProxyConfig {
-            upstream,
-            seed: 0,
-            drop_rate: 0.0,
-            partial_rate: 0.0,
-            reset_rate: 0.0,
-            stall_rate: 0.0,
-            stall: Duration::from_millis(0),
-            crash_after: None,
-        }
-    }
-
-    /// The retry-soak profile used by CI: every fault class active.
+    /// The retry-soak profile used by CI: every fault class a byte
+    /// stream can carry.
     pub fn soak(upstream: SocketAddr, seed: u64) -> Self {
         FaultProxyConfig {
             upstream,
             seed,
-            drop_rate: 0.08,
-            partial_rate: 0.03,
-            reset_rate: 0.03,
-            stall_rate: 0.05,
-            stall: Duration::from_millis(80),
+            plan: FaultPlan {
+                reset_rate: 0.03,
+                loss_rate: 0.08,
+                corrupt_rate: 0.03,
+                stall_rate: 0.05,
+                stall: Duration::from_millis(80),
+                ack_loss_rate: 0.0,
+            },
             crash_after: None,
         }
     }
 }
 
-/// What the proxy did, across all connections.
+/// What the proxy's sockets did, across all connections. The faults it
+/// injected are counted apart, in [`FaultProxy::faults`].
 #[derive(Debug, Default)]
 pub struct ProxyStats {
     /// Connections accepted from clients.
     pub connections: AtomicU64,
-    /// Chunks silently dropped.
-    pub dropped_chunks: AtomicU64,
-    /// Partial-write-then-reset events.
-    pub partial_writes: AtomicU64,
-    /// Immediate resets.
-    pub resets: AtomicU64,
-    /// Injected stalls.
-    pub stalls: AtomicU64,
     /// Bytes actually forwarded to the collector.
     pub bytes_up: AtomicU64,
     /// Ack bytes forwarded back to clients.
     pub bytes_down: AtomicU64,
-    /// Chunks fully forwarded to the collector (the crash-point
-    /// countdown input).
+    /// Chunks fully forwarded to the collector (the crash countdown).
     pub forwarded_chunks: AtomicU64,
     /// Crash points fired (0 or 1 per proxy lifetime).
     pub crashes: AtomicU64,
@@ -117,27 +78,35 @@ pub struct FaultProxy {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     stats: Arc<ProxyStats>,
+    faults: Arc<FaultStats>,
 }
 
 impl FaultProxy {
     /// Binds an ephemeral localhost port and starts proxying to
-    /// `cfg.upstream`.
+    /// `cfg.upstream`. Panics on ack loss: acks cross the proxy verbatim.
     pub fn start(cfg: FaultProxyConfig) -> std::io::Result<Self> {
+        assert!(
+            cfg.plan.ack_loss_rate == 0.0,
+            "FaultProxy cannot carry ack loss"
+        );
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ProxyStats::default());
+        let faults = Arc::new(FaultStats::default());
         let acceptor = {
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
-            std::thread::spawn(move || accept_loop(listener, cfg, stop, stats))
+            let faults = Arc::clone(&faults);
+            std::thread::spawn(move || accept_loop(listener, cfg, stop, stats, faults))
         };
         Ok(FaultProxy {
             local_addr,
             stop,
             acceptor: Some(acceptor),
             stats,
+            faults,
         })
     }
 
@@ -146,9 +115,14 @@ impl FaultProxy {
         self.local_addr
     }
 
-    /// Live fault counters.
+    /// Live socket counters.
     pub fn stats(&self) -> &Arc<ProxyStats> {
         &self.stats
+    }
+
+    /// Live fault counters: one fate per client→collector chunk read.
+    pub fn faults(&self) -> &Arc<FaultStats> {
+        &self.faults
     }
 
     /// Whether the configured crash point has fired.
@@ -157,21 +131,15 @@ impl FaultProxy {
     }
 
     /// Stops accepting and joins every forwarding thread.
-    pub fn shutdown(mut self) {
-        self.stop_now();
-    }
-
-    fn stop_now(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-    }
+    pub fn shutdown(self) {}
 }
 
 impl Drop for FaultProxy {
     fn drop(&mut self) {
-        self.stop_now();
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(h) = self.acceptor.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -180,6 +148,7 @@ fn accept_loop(
     cfg: FaultProxyConfig,
     stop: Arc<AtomicBool>,
     stats: Arc<ProxyStats>,
+    faults: Arc<FaultStats>,
 ) {
     let mut conn_index = 0u64;
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
@@ -191,14 +160,15 @@ fn accept_loop(
                 let cfg = cfg.clone();
                 let stop = Arc::clone(&stop);
                 let stats = Arc::clone(&stats);
-                let seed = cfg.seed.wrapping_add(conn_index);
+                let dice = FaultDice::new(
+                    cfg.plan,
+                    cfg.seed.wrapping_add(conn_index),
+                    Arc::clone(&faults),
+                );
                 handles.push(std::thread::spawn(move || {
-                    serve_pair(client, cfg, seed, stop, stats)
+                    serve_pair(client, cfg, dice, stop, stats)
                 }));
                 handles.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
@@ -212,104 +182,80 @@ fn accept_loop(
 /// Forwards one proxied connection until either side closes, a fault
 /// kills it, or the proxy stops.
 fn serve_pair(
-    client: TcpStream,
+    mut client: TcpStream,
     cfg: FaultProxyConfig,
-    seed: u64,
+    mut dice: FaultDice,
     stop: Arc<AtomicBool>,
     stats: Arc<ProxyStats>,
 ) {
-    let Ok(upstream) = TcpStream::connect_timeout(&cfg.upstream, Duration::from_secs(2)) else {
+    let Ok(mut upstream) = TcpStream::connect_timeout(&cfg.upstream, Duration::from_secs(2)) else {
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
     let _ = client.set_read_timeout(Some(Duration::from_millis(5)));
-    let _ = upstream.set_read_timeout(Some(Duration::from_millis(5)));
     let _ = upstream.set_nodelay(true);
     let _ = client.set_nodelay(true);
 
     // Ack direction: verbatim, in its own thread so stalls on the
-    // upstream direction never delay acks already in flight.
+    // upstream direction never delay acks already in flight. Its read
+    // blocks until the teardown below shuts the sockets down.
     let down = {
         let mut upstream = upstream.try_clone().expect("clone upstream");
         let mut client = client.try_clone().expect("clone client");
-        let stop = Arc::clone(&stop);
         let stats = Arc::clone(&stats);
         std::thread::spawn(move || {
             let mut buf = [0u8; 4096];
-            loop {
-                if stop.load(Ordering::Relaxed) {
+            while let Ok(n @ 1..) = upstream.read(&mut buf) {
+                if client.write_all(&buf[..n]).is_err() {
                     break;
                 }
-                match upstream.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        if client.write_all(&buf[..n]).is_err() {
-                            break;
-                        }
-                        // ordering: monotone stat; exact reads only
-                        // after the forwarding threads are joined.
-                        stats.bytes_down.fetch_add(n as u64, Ordering::Relaxed);
-                    }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => break,
-                }
+                // ordering: monotone stat, read after the join below.
+                stats.bytes_down.fetch_add(n as u64, Ordering::Relaxed);
             }
             let _ = client.shutdown(Shutdown::Both);
         })
     };
 
-    // Beacon direction: chunk by chunk through the fault model.
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut client_r = client.try_clone().expect("clone client");
-    let mut upstream_w = upstream.try_clone().expect("clone upstream");
+    // Beacon direction: chunk by chunk, each meeting its fate.
     let mut buf = [0u8; 2048];
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        match client_r.read(&mut buf) {
+    while !stop.load(Ordering::Relaxed) {
+        match client.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
-                if cfg.reset_rate > 0.0 && rng.gen_bool(cfg.reset_rate) {
-                    stats.resets.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                    break;
-                }
-                if cfg.drop_rate > 0.0 && rng.gen_bool(cfg.drop_rate) {
-                    stats.dropped_chunks.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                    continue;
-                }
-                if cfg.partial_rate > 0.0 && rng.gen_bool(cfg.partial_rate) && n > 1 {
-                    let cut = rng.gen_range(1..n);
-                    let _ = upstream_w.write_all(&buf[..cut]);
-                    stats.partial_writes.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                    stats.bytes_up.fetch_add(cut as u64, Ordering::Relaxed); // ordering: stat, read after join
-                    break;
-                }
-                if cfg.stall_rate > 0.0 && rng.gen_bool(cfg.stall_rate) {
-                    stats.stalls.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-                    std::thread::sleep(cfg.stall);
-                }
-                if upstream_w.write_all(&buf[..n]).is_err() {
-                    break;
-                }
-                stats.bytes_up.fetch_add(n as u64, Ordering::Relaxed); // ordering: stat, read after join
-                                                                       // ordering: stat + crash countdown; the +1 makes the
-                                                                       // fetch_add prior value this chunk's 1-based index, so
-                                                                       // exactly one thread observes the crash point.
-                let fwd = stats.forwarded_chunks.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(at) = cfg.crash_after {
-                    if fwd >= at {
-                        if fwd == at {
-                            stats.crashes.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
+                match dice.fate() {
+                    Fate::Reset => break,
+                    Fate::Lost => continue,
+                    Fate::Corrupt => {
+                        // A partial write, then the connection dies.
+                        if n > 1 {
+                            let cut = dice.rng().gen_range(1..n);
+                            let _ = upstream.write_all(&buf[..cut]);
+                            // ordering: stat, read after join
+                            stats.bytes_up.fetch_add(cut as u64, Ordering::Relaxed);
                         }
-                        // The whole proxy dies: acceptor stops, every
-                        // forwarding thread exits, both socket
-                        // directions are reset below.
-                        stop.store(true, Ordering::Relaxed);
                         break;
                     }
+                    Fate::Stall => std::thread::sleep(cfg.plan.stall),
+                    Fate::Deliver => {}
+                }
+                if upstream.write_all(&buf[..n]).is_err() {
+                    break;
+                }
+                // ordering: stat, read after join
+                stats.bytes_up.fetch_add(n as u64, Ordering::Relaxed);
+                // ordering: stat + crash countdown; the +1 makes the
+                // fetch_add prior value this chunk's 1-based index, so
+                // exactly one thread observes the crash point.
+                let fwd = stats.forwarded_chunks.fetch_add(1, Ordering::Relaxed) + 1;
+                if cfg.crash_after.is_some_and(|at| fwd >= at) {
+                    if cfg.crash_after == Some(fwd) {
+                        // ordering: stat, read after join
+                        stats.crashes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    // The whole proxy dies: the acceptor and every
+                    // forwarding thread exit.
+                    stop.store(true, Ordering::Relaxed);
+                    break;
                 }
             }
             Err(e)
@@ -318,8 +264,7 @@ fn serve_pair(
             Err(_) => break,
         }
     }
-    // Tear both directions down; the down-thread exits on its next
-    // read/write error.
+    // Tear both directions down, which ends the ack thread's read.
     let _ = client.shutdown(Shutdown::Both);
     let _ = upstream.shutdown(Shutdown::Both);
     let _ = down.join();
@@ -349,7 +294,11 @@ mod tests {
     #[test]
     fn transparent_proxy_round_trips_bytes() {
         let (upstream, server) = echo_server();
-        let proxy = FaultProxy::start(FaultProxyConfig::transparent(upstream)).unwrap();
+        let transparent = FaultProxyConfig {
+            plan: FaultPlan::NONE,
+            ..FaultProxyConfig::soak(upstream, 0)
+        };
+        let proxy = FaultProxy::start(transparent).unwrap();
         let mut sock = TcpStream::connect(proxy.local_addr()).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.write_all(b"qtag-beacons").unwrap();
@@ -365,11 +314,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "FaultProxy cannot carry ack loss")]
+    fn the_proxy_refuses_ack_loss() {
+        let mut cfg = FaultProxyConfig::soak("127.0.0.1:9".parse().unwrap(), 0);
+        cfg.plan.ack_loss_rate = 0.1;
+        let _ = FaultProxy::start(cfg);
+    }
+
+    #[test]
     fn faulty_proxy_actually_injects_faults() {
         let (upstream, server) = echo_server();
         let mut cfg = FaultProxyConfig::soak(upstream, 0xFA17);
-        cfg.drop_rate = 0.5; // make the smoke quick and certain
-        cfg.stall_rate = 0.0;
+        cfg.plan.loss_rate = 0.5; // make the smoke quick and certain
+        cfg.plan.stall_rate = 0.0;
         let proxy = FaultProxy::start(cfg).unwrap();
         let mut sock = TcpStream::connect(proxy.local_addr()).unwrap();
         // Write many small chunks; with 50 % drop at a fixed seed some
@@ -381,18 +338,14 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let stats = proxy.stats();
-        while std::time::Instant::now() < deadline
-            && stats.dropped_chunks.load(Ordering::Relaxed) == 0
-            && stats.resets.load(Ordering::Relaxed) == 0
-            && stats.partial_writes.load(Ordering::Relaxed) == 0
-        {
+        let injected = || {
+            let f = proxy.faults().snapshot();
+            f.lost + f.resets + f.corrupted
+        };
+        while std::time::Instant::now() < deadline && injected() == 0 {
             std::thread::sleep(Duration::from_millis(10));
         }
-        let injected = stats.dropped_chunks.load(Ordering::Relaxed)
-            + stats.resets.load(Ordering::Relaxed)
-            + stats.partial_writes.load(Ordering::Relaxed);
-        assert!(injected > 0, "no faults injected: {stats:?}");
+        assert!(injected() > 0, "no faults injected: {:?}", proxy.faults());
         drop(sock);
         proxy.shutdown();
         let _ = server.join();

@@ -40,6 +40,12 @@ use qtag_store::{DurableBackend, DurableConfig, StorageBackend, SyncPolicy};
 use std::io::BufRead;
 use std::time::Duration;
 
+const USAGE: &str = "usage: collectd [--bind ADDR] [--max-conns N] [--read-timeout-ms MS] \
+                     [--capacity N] [--shards N] [--batch N] \
+                     [--reactor] [--reactor-workers N] [--ack-buffer-cap BYTES] \
+                     [--duration-secs S] [--metrics PATH] [--metrics-json PATH] \
+                     [--wal-dir DIR] [--sync none|batch|record]";
+
 struct BinArgs {
     cfg: CollectorConfig,
     shards: usize,
@@ -50,7 +56,8 @@ struct BinArgs {
     sync: SyncPolicy,
 }
 
-fn parse_args() -> BinArgs {
+/// Parses the command line; `Err` names the bad flag.
+fn parse_args() -> Result<BinArgs, String> {
     let mut out = BinArgs {
         cfg: CollectorConfig {
             bind: "127.0.0.1:4050".to_string(),
@@ -63,65 +70,53 @@ fn parse_args() -> BinArgs {
         wal_dir: None,
         sync: SyncPolicy::Batch,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |i: usize| -> &str {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = argv.iter();
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        let mut value = || {
+            args.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag {
-            "--bind" => out.cfg.bind = value(i).to_string(),
-            "--max-conns" => {
-                out.cfg.max_connections = value(i).parse().expect("--max-conns: usize")
-            }
+            "--bind" => out.cfg.bind = value()?.to_string(),
+            "--max-conns" => out.cfg.max_connections = parse(flag, value()?)?,
             "--read-timeout-ms" => {
-                out.cfg.read_timeout =
-                    Duration::from_millis(value(i).parse().expect("--read-timeout-ms: u64"))
+                out.cfg.read_timeout = Duration::from_millis(parse(flag, value()?)?)
             }
-            "--capacity" => out.cfg.inlet_capacity = value(i).parse().expect("--capacity: usize"),
-            "--shards" => out.shards = value(i).parse().expect("--shards: usize"),
-            "--batch" => out.cfg.batch = value(i).parse().expect("--batch: usize"),
-            "--reactor" => {
-                out.cfg.reactor = true;
-                i += 1; // boolean flag, no value
-                continue;
-            }
-            "--reactor-workers" => {
-                out.cfg.reactor_workers = value(i).parse().expect("--reactor-workers: usize")
-            }
-            "--ack-buffer-cap" => {
-                out.cfg.ack_buffer_cap = value(i).parse().expect("--ack-buffer-cap: usize")
-            }
-            "--duration-secs" => {
-                out.duration = Some(Duration::from_secs(
-                    value(i).parse().expect("--duration-secs: u64"),
-                ))
-            }
-            "--metrics" => out.metrics = Some(value(i).to_string()),
-            "--metrics-json" => out.metrics_json = Some(value(i).to_string()),
-            "--wal-dir" => out.wal_dir = Some(value(i).to_string()),
-            "--sync" => out.sync = value(i).parse().expect("--sync: none|batch|record"),
+            "--capacity" => out.cfg.inlet_capacity = parse(flag, value()?)?,
+            "--shards" => out.shards = parse(flag, value()?)?,
+            "--batch" => out.cfg.batch = parse(flag, value()?)?,
+            "--reactor" => out.cfg.reactor = true,
+            "--reactor-workers" => out.cfg.reactor_workers = parse(flag, value()?)?,
+            "--ack-buffer-cap" => out.cfg.ack_buffer_cap = parse(flag, value()?)?,
+            "--duration-secs" => out.duration = Some(Duration::from_secs(parse(flag, value()?)?)),
+            "--metrics" => out.metrics = Some(value()?.to_string()),
+            "--metrics-json" => out.metrics_json = Some(value()?.to_string()),
+            "--wal-dir" => out.wal_dir = Some(value()?.to_string()),
+            "--sync" => out.sync = parse(flag, value()?)?,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: collectd [--bind ADDR] [--max-conns N] [--read-timeout-ms MS] \
-                     [--capacity N] [--shards N] [--batch N] \
-                     [--reactor] [--reactor-workers N] [--ack-buffer-cap BYTES] \
-                     [--duration-secs S] [--metrics PATH] [--metrics-json PATH] \
-                     [--wal-dir DIR] [--sync none|batch|record]"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other}"),
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += 2;
     }
-    out
+    Ok(out)
+}
+
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("collectd: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let backend: Option<DurableBackend> = args.wal_dir.as_ref().map(|dir| {
         let (backend, report) = DurableBackend::open(DurableConfig {
             dir: dir.into(),

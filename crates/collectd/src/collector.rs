@@ -9,18 +9,17 @@ use crate::stats::{CollectorStats, OpsSnapshot};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::thread::JoinHandle;
 use crate::sync::time::Instant;
-use crate::sync::{thread, Arc, Mutex};
+use crate::sync::{thread, Arc};
 #[cfg(target_os = "linux")]
 use crossbeam::channel::{unbounded, Sender};
 use qtag_obs::{Registry, TraceRing};
 use qtag_server::{
-    ImpressionStore, IngestConfig, IngestMetrics, IngestService, IngestStats, ShardJournal,
-    ShardedStore,
+    IngestConfig, IngestMetrics, IngestService, IngestStats, ShardJournal, ShardedStore,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 
-/// A running collector daemon. Start with [`Collector::start`], stop
+/// A running collector daemon. Start with [`Collector::start_sharded`], stop
 /// with [`Collector::shutdown`] (graceful: drains in-flight frames
 /// into the store before returning).
 pub struct Collector {
@@ -36,14 +35,6 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// Binds the listener and spawns the acceptor over a single shared
-    /// store. Beacons land in `store`; share the `Arc` to read
-    /// verdicts while the daemon runs. For multi-shard aggregation use
-    /// [`Collector::start_sharded`].
-    pub fn start(cfg: CollectorConfig, store: Arc<Mutex<ImpressionStore>>) -> io::Result<Self> {
-        Self::start_sharded(cfg, ShardedStore::from_single(store))
-    }
-
     /// Binds the listener and spawns the acceptor over a sharded
     /// store: one applier thread per shard, connection threads hand
     /// off decoded beacons in per-read-iteration batches routed by
@@ -133,16 +124,6 @@ impl Collector {
     /// Live daemon counters.
     pub fn stats(&self) -> &Arc<CollectorStats> {
         &self.stats
-    }
-
-    /// The shared impression store of a *single-shard* daemon (the
-    /// [`Collector::start`] path, where shard 0 is the caller's own
-    /// `Arc`). With multiple shards, use
-    /// [`Collector::sharded_store`] — writing through this handle
-    /// would bypass shard routing.
-    pub fn store(&self) -> &Arc<Mutex<ImpressionStore>> {
-        debug_assert_eq!(self.store.shard_count(), 1);
-        self.store.shard(0)
     }
 
     /// The sharded store beacons aggregate into.
@@ -485,8 +466,7 @@ mod tests {
     }
 
     fn start(cfg: CollectorConfig) -> Collector {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        Collector::start(cfg, store).expect("bind localhost")
+        Collector::start_sharded(cfg, ShardedStore::new(1)).expect("bind localhost")
     }
 
     /// Runs a socket-lifecycle scenario once per serving mode, handing
@@ -515,7 +495,7 @@ mod tests {
     fn binary_client_round_trips_through_the_daemon() {
         in_both_modes(|cfg| {
             let collector = start(cfg);
-            collector.store().lock().record_served(served(42));
+            collector.sharded_store().record_served(served(42));
             let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
             let stream = encode_frames(&[
                 beacon(42, 0, EventKind::Measurable),
@@ -539,8 +519,8 @@ mod tests {
     fn json_client_is_sniffed_and_decoded() {
         in_both_modes(|cfg| {
             let collector = start(cfg);
-            let store = Arc::clone(collector.store());
-            store.lock().record_served(served(7));
+            let store = collector.sharded_store().clone();
+            store.record_served(served(7));
             let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
             let mut payload = json::encode(&beacon(7, 0, EventKind::Measurable)).unwrap();
             payload.push('\n');
@@ -553,7 +533,7 @@ mod tests {
             assert_eq!(ops.collector.frames_decoded, 2, "{ops:?}");
             assert_eq!(ops.collector.corrupt_frames, 1);
             assert!(ops.conserves(3), "{ops:?}");
-            assert_eq!(store.lock().verdict(7), (true, true));
+            assert_eq!(store.verdict(7), (true, true));
         });
     }
 
@@ -620,7 +600,7 @@ mod tests {
         use qtag_wire::sender::{AckDecoder, AckKey, ACK_HELLO};
         in_both_modes(|cfg| {
             let collector = start(cfg);
-            collector.store().lock().record_served(served(42));
+            collector.sharded_store().record_served(served(42));
             let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
             sock.set_read_timeout(Some(Duration::from_millis(200)))
                 .unwrap();
@@ -713,7 +693,7 @@ mod tests {
         use qtag_wire::sender::ACK_HELLO;
         in_both_modes(|cfg| {
             let collector = start(cfg);
-            collector.store().lock().record_served(served(9));
+            collector.sharded_store().record_served(served(9));
             let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
             sock.set_read_timeout(Some(Duration::from_millis(200)))
                 .unwrap();

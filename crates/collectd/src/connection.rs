@@ -587,8 +587,7 @@ pub(crate) fn serve_stream(mut stream: impl ConnStream, ctx: ConnCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::Mutex;
-    use qtag_server::{ImpressionStore, IngestConfig, IngestService, ShardedStore};
+    use qtag_server::{IngestConfig, IngestService, ShardedStore};
     use qtag_wire::framing::encode_frames;
     use qtag_wire::{AdFormat, BrowserKind, EventKind, OsKind, SiteType};
     use std::collections::VecDeque;
@@ -616,7 +615,7 @@ mod tests {
     }
 
     fn rig(cfg: CollectorConfig) -> Rig {
-        let store = ShardedStore::from_single(Arc::new(Mutex::new(ImpressionStore::new())));
+        let store = ShardedStore::new(1);
         for id in 1..=8u64 {
             store.record_served(qtag_server::ServedImpression {
                 impression_id: id,

@@ -431,10 +431,7 @@ pub fn reactor_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::Mutex;
-    use qtag_server::{
-        ImpressionStore, IngestConfig, IngestService, ServedImpression, ShardedStore,
-    };
+    use qtag_server::{IngestConfig, IngestService, ServedImpression, ShardedStore};
     use qtag_wire::framing::encode_frames;
     use qtag_wire::sender::{ACK_HELLO, ACK_LEN};
     use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
@@ -464,7 +461,7 @@ mod tests {
     }
 
     fn rig() -> Rig {
-        let store = ShardedStore::from_single(Arc::new(Mutex::new(ImpressionStore::new())));
+        let store = ShardedStore::new(1);
         for id in 1..=64u64 {
             store.record_served(ServedImpression {
                 impression_id: id,

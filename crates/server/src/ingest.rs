@@ -18,11 +18,11 @@
 //! run (see `tests/sharded_equivalence.rs`).
 
 use crate::shard::{shard_of, ShardedStore};
-use crate::store::{ApplyOutcome, ImpressionStore};
+use crate::store::ApplyOutcome;
 use crate::sync::atomic::Ordering;
 use crate::sync::thread::JoinHandle;
 use crate::sync::time::Instant;
-use crate::sync::{thread, Arc, Mutex, Weak};
+use crate::sync::{thread, Arc, Weak};
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use qtag_obs::{Counter, Histogram, Registry, Stage, TraceEvent, TraceRing};
 use qtag_wire::framing::FrameEvent;
@@ -413,30 +413,6 @@ pub struct IngestService {
 }
 
 impl IngestService {
-    /// Starts the service over a shared single store (one shard) with
-    /// default batching and inlet capacity.
-    pub fn start(store: Arc<Mutex<ImpressionStore>>, workers: usize) -> Self {
-        Self::start_with_capacity(store, workers, DEFAULT_INLET_CAPACITY)
-    }
-
-    /// Starts the service over a shared single store (one shard) with
-    /// an explicit bounded capacity (in batches) for the applier
-    /// channel.
-    pub fn start_with_capacity(
-        store: Arc<Mutex<ImpressionStore>>,
-        workers: usize,
-        inlet_capacity: usize,
-    ) -> Self {
-        Self::start_sharded(
-            ShardedStore::from_single(store),
-            IngestConfig {
-                workers,
-                inlet_capacity,
-                ..IngestConfig::default()
-            },
-        )
-    }
-
     /// Starts the service over a sharded store: one applier thread per
     /// shard, each owning its shard's lock, fed over an independent
     /// bounded batch channel. The shard count comes from `store`.
@@ -785,16 +761,26 @@ mod tests {
         }
     }
 
+    /// A one-shard store and a service over it with `workers` parser
+    /// threads.
+    fn one_shard(workers: usize) -> (ShardedStore, IngestService) {
+        let store = ShardedStore::new(1);
+        let service = IngestService::start_sharded(
+            store.clone(),
+            IngestConfig {
+                workers,
+                ..IngestConfig::default()
+            },
+        );
+        (store, service)
+    }
+
     #[test]
     fn parallel_ingestion_applies_every_beacon() {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        {
-            let mut s = store.lock();
-            for id in 0..200 {
-                s.record_served(served(id));
-            }
+        let (store, service) = one_shard(4);
+        for id in 0..200 {
+            store.record_served(served(id));
         }
-        let service = IngestService::start(Arc::clone(&store), 4);
         let mut link = LossyLink::lossless();
         for id in 0..200u64 {
             let bytes = link
@@ -806,9 +792,8 @@ mod tests {
             service.submit(id, bytes);
         }
         service.shutdown();
-        let s = store.lock();
         for id in 0..200 {
-            assert_eq!(s.verdict(id), (true, true), "impression {id}");
+            assert_eq!(store.verdict(id), (true, true), "impression {id}");
         }
     }
 
@@ -857,9 +842,8 @@ mod tests {
 
     #[test]
     fn chunked_streams_reassemble_across_submissions() {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        store.lock().record_served(served(7));
-        let service = IngestService::start(Arc::clone(&store), 2);
+        let (store, service) = one_shard(2);
+        store.record_served(served(7));
         let mut link = LossyLink::lossless();
         let bytes = link.transmit(&[beacon(7, 0, EventKind::InView)]).unwrap();
         // Byte-at-a-time on the same connection.
@@ -867,31 +851,26 @@ mod tests {
             service.submit(7, vec![b]);
         }
         service.shutdown();
-        assert_eq!(store.lock().verdict(7), (true, true));
+        assert_eq!(store.verdict(7), (true, true));
     }
 
     #[test]
     fn corrupt_frames_are_counted_not_applied() {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        store.lock().record_served(served(1));
-        let service = IngestService::start(Arc::clone(&store), 1);
+        let (store, service) = one_shard(1);
+        store.record_served(served(1));
         let mut link = LossyLink::new(0.0, 1.0, 3);
         let bytes = link.transmit(&[beacon(1, 0, EventKind::InView)]).unwrap();
         service.submit(1, bytes);
         service.shutdown();
-        assert_eq!(store.lock().verdict(1), (false, false));
+        assert_eq!(store.verdict(1), (false, false));
     }
 
     #[test]
     fn stats_reflect_throughput() {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        {
-            let mut s = store.lock();
-            for id in 0..50 {
-                s.record_served(served(id));
-            }
+        let (store, service) = one_shard(3);
+        for id in 0..50 {
+            store.record_served(served(id));
         }
-        let service = IngestService::start(Arc::clone(&store), 3);
         let mut link = LossyLink::lossless();
         for id in 0..50u64 {
             let bytes = link
@@ -909,8 +888,7 @@ mod tests {
 
     #[test]
     fn shutdown_with_no_traffic_terminates() {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        let service = IngestService::start(store, 4);
+        let (_store, service) = one_shard(4);
         service.shutdown(); // must not hang
     }
 
@@ -967,9 +945,8 @@ mod tests {
 
     #[test]
     fn inlet_beacons_are_applied_and_counted() {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        store.lock().record_served(served(3));
-        let service = IngestService::start(Arc::clone(&store), 1);
+        let (store, service) = one_shard(1);
+        store.record_served(served(3));
         let inlet = service.inlet();
         for b in [
             beacon(3, 0, EventKind::Measurable),
@@ -980,7 +957,7 @@ mod tests {
         let stats = Arc::clone(service.stats_arc());
         service.shutdown();
         assert_eq!(stats.beacons.load(Ordering::Relaxed), 2);
-        assert_eq!(store.lock().verdict(3), (true, true));
+        assert_eq!(store.verdict(3), (true, true));
     }
 
     #[test]
@@ -1015,16 +992,23 @@ mod tests {
     /// counted either as accepted or as shed, never both, never neither.
     #[test]
     fn inlet_sheds_when_full_and_accounting_is_exact() {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        store.lock().record_served(served(9));
-        let service = IngestService::start_with_capacity(Arc::clone(&store), 1, 2);
+        let store = ShardedStore::new(1);
+        store.record_served(served(9));
+        let service = IngestService::start_sharded(
+            store.clone(),
+            IngestConfig {
+                workers: 1,
+                inlet_capacity: 2,
+                ..IngestConfig::default()
+            },
+        );
         let inlet = service.inlet();
         // Hold the store lock so the applier stalls on its first
         // apply, guaranteeing the bounded channel eventually fills.
         let mut offered = 0u64;
         let mut accepted = 0u64;
         {
-            let _guard = store.lock();
+            let _guard = store.shard(0).lock();
             while offered < 1_000 {
                 let b = beacon(9, offered as u16, EventKind::Heartbeat);
                 if inlet.offer_batch(&[b], |_| {}).accepted == 1 {
@@ -1053,9 +1037,8 @@ mod tests {
     /// (`offered == accepted + shed + rejected`) stays exact.
     #[test]
     fn send_after_shutdown_is_rejected_and_counted_distinctly() {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        store.lock().record_served(served(5));
-        let service = IngestService::start(Arc::clone(&store), 1);
+        let (store, service) = one_shard(1);
+        store.record_served(served(5));
         let inlet = service.inlet();
         let sent = |b| inlet.send_batch(&[b]).accepted == 1;
         assert!(sent(beacon(5, 0, EventKind::Measurable)));
@@ -1077,7 +1060,7 @@ mod tests {
         assert_eq!(snap.shed_beacons, 0, "shutdown rejection is not shedding");
         assert_eq!(snap.rejected_after_shutdown, 4);
         // The pre-shutdown beacon was applied; the rest never were.
-        assert_eq!(store.lock().verdict(5), (true, false));
+        assert_eq!(store.verdict(5), (true, false));
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //!
 //! Components:
 //!
-//! * [`LossyLink`] — the network between a tag in a browser and the
-//!   collection endpoint: beacons are framed (`qtag-wire`), then subject
-//!   to configurable loss, truncation and bit corruption. Fire-and-forget
-//!   beacons genuinely go missing in production (page unloads mid-send,
-//!   radios drop); the loss knob is part of why no solution measures
-//!   100 % of impressions;
+//! * [`FaultPlan`] — the one vocabulary of network faults (reset, loss,
+//!   corruption, stall, ack loss), rolled per unit by a seeded
+//!   [`FaultDice`] and counted in [`FaultStats`]. Two carriers here
+//!   interpret it: [`LossyLink`], the network between a tag in a
+//!   browser and the collection endpoint (framed beacons lost,
+//!   truncated or bit-flipped; fire-and-forget beacons genuinely go
+//!   missing in production, which is part of why no solution measures
+//!   100 % of impressions), and [`SimCollectorTransport`], a simulated
+//!   acked collector for the retrying sender;
 //! * [`IngestService`] — a multi-worker ingestion pipeline (crossbeam
 //!   channels + worker threads, graceful shutdown) that parses byte
 //!   streams into beacons and folds them into the store;
@@ -29,6 +32,7 @@
 
 mod anomaly;
 mod billing;
+mod fault;
 mod ingest;
 mod report;
 mod shard;
@@ -40,6 +44,7 @@ mod transport;
 
 pub use anomaly::{viewability_outliers, BeaconValidator, OutlierCampaign, Violation};
 pub use billing::{invoice_campaigns, total_usd, Invoice, PricingModel};
+pub use fault::{Fate, FaultDice, FaultPlan, FaultStats, FaultStatsSnapshot};
 pub use ingest::{
     BatchOutcome, BeaconInlet, IngestConfig, IngestMetrics, IngestService, IngestStats,
     IngestStatsSnapshot, ShardJournal, DEFAULT_BATCH, DEFAULT_INLET_CAPACITY,
@@ -48,7 +53,7 @@ pub use report::{
     mean, std_dev, to_csv, CampaignReport, FleetSummary, RateSlice, ReportBuilder, SliceKey,
 };
 pub use shard::{shard_of, ShardedStore};
-pub use sim_transport::{SimCollectorStats, SimCollectorTransport, SimFaults};
+pub use sim_transport::{SimCollectorTransport, SimFaults};
 pub use store::{ApplyOutcome, ImpressionRecord, ImpressionStore, SeqSeen, ServedImpression};
 pub use timeline::{BucketStats, Timeline, TimelineState};
 pub use transport::{CorruptionKind, LossyLink};

@@ -55,15 +55,6 @@ impl ShardedStore {
         }
     }
 
-    /// Wraps an existing shared store as a one-shard `ShardedStore`.
-    /// The caller's `Arc` stays live: external readers holding it see
-    /// every write routed through the sharded interface.
-    pub fn from_single(store: Arc<Mutex<ImpressionStore>>) -> Self {
-        ShardedStore {
-            shards: vec![store].into(),
-        }
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -219,17 +210,6 @@ mod tests {
         assert_eq!(store.unique_beacons(), 200);
         assert_eq!(store.total_duplicates(), 100);
         assert_eq!(store.orphan_beacons(), 0);
-    }
-
-    #[test]
-    fn from_single_shares_the_callers_arc() {
-        let inner = Arc::new(Mutex::new(ImpressionStore::new()));
-        let store = ShardedStore::from_single(Arc::clone(&inner));
-        store.record_served(served(7));
-        store.apply(&beacon(7, 0, EventKind::InView));
-        // The original handle observes writes made through the shard.
-        assert_eq!(inner.lock().verdict(7), (true, true));
-        assert_eq!(store.shard_count(), 1);
     }
 
     #[test]

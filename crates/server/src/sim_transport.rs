@@ -1,119 +1,59 @@
-//! A simulated collector endpoint behind a faulty network, speaking
-//! the acked-binary contract of [`qtag_wire::sender`].
-//!
-//! [`SimCollectorTransport`] is the virtual-time counterpart of a real
-//! `qtag-collectd` daemon reached through `TcpTransport`: the sender
-//! writes frames into it, the configured fault model decides whether
-//! each frame survives the network, surviving frames are decoded and
-//! applied straight into an [`ImpressionStore`], and acks ride back
-//! subject to their own loss. The whole loop is deterministic per
-//! seed, which is what lets the retry-delivery ablation and the
-//! property tests assert the conservation identity *exactly*.
-//!
-//! Fault semantics mirror what the sender is allowed to assume:
-//!
-//! * a **reset** fails the write (`TransportError::Closed`) — the
-//!   frame was at most partially written, so it is *provably* not
-//!   applied; in-flight acks die with the connection;
-//! * a **silent drop** accepts the write but delivers nothing — the
-//!   maybe-delivered case the sender must retry forever;
-//! * **corruption** delivers a damaged frame: the collector counts it
-//!   corrupt and acks nothing;
-//! * otherwise the frame is applied (duplicates deduplicated by the
-//!   store) and an ack is queued unless **ack loss** eats it.
+//! A simulated collector behind a faulty network, speaking the
+//! acked-binary contract of [`qtag_wire::sender`] in virtual time.
+//! Deterministic per seed, so the retry ablation and the property tests
+//! assert conservation exactly.
 
+use crate::fault::{Fate, FaultDice, FaultPlan, FaultStatsSnapshot};
 use crate::store::ImpressionStore;
+use crate::sync::atomic::Ordering;
+use crate::sync::Arc;
 use qtag_wire::framing::FrameEvent;
 use qtag_wire::sender::{AckKey, Transport, TransportError};
 use qtag_wire::FrameDecoder;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
-/// Probabilities of each injected fault, rolled per operation.
-#[derive(Debug, Clone, Copy)]
-pub struct SimFaults {
-    /// Probability a frame write hits a connection reset (write
-    /// fails; frame provably not delivered).
-    pub reset_rate: f64,
-    /// Probability a fully-written frame silently never arrives.
-    pub frame_loss: f64,
-    /// Probability a delivered frame arrives corrupted (counted by
-    /// the collector, never acked).
-    pub corrupt_rate: f64,
-    /// Probability the ack for an applied frame is lost on the way
-    /// back.
-    pub ack_loss: f64,
-}
-
-impl SimFaults {
-    /// A perfectly healthy network.
-    pub const NONE: SimFaults = SimFaults {
-        reset_rate: 0.0,
-        frame_loss: 0.0,
-        corrupt_rate: 0.0,
-        ack_loss: 0.0,
-    };
-
-    /// Symmetric profile used by the bench pipeline: beacons and acks
-    /// both cross the same lossy network.
-    pub fn symmetric(loss: f64, corrupt_rate: f64) -> Self {
-        SimFaults {
-            reset_rate: loss * 0.25,
-            frame_loss: loss,
-            corrupt_rate,
-            ack_loss: loss,
-        }
-    }
-}
-
-/// Counters of what the simulated network and collector actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimCollectorStats {
-    /// Frames whose write failed on an injected reset.
-    pub resets: u64,
-    /// Fully-written frames the network silently dropped.
-    pub frames_lost: u64,
-    /// Frames delivered damaged and rejected by the decoder.
-    pub frames_corrupted: u64,
-    /// Beacons applied to the store (duplicates included).
-    pub applied: u64,
-    /// Acks eaten by the return path.
-    pub acks_lost: u64,
-    /// Acks that died buffered on a reset connection.
-    pub acks_reset: u64,
-}
+/// The fault profile of a [`SimCollectorTransport`], without stalls.
+pub type SimFaults = FaultPlan;
 
 /// A [`Transport`] that *is* the collector: frames that survive the
-/// fault model land directly in the wrapped [`ImpressionStore`].
+/// fault plan land directly in the wrapped [`ImpressionStore`].
 pub struct SimCollectorTransport<'a> {
     store: &'a mut ImpressionStore,
-    faults: SimFaults,
-    rng: ChaCha8Rng,
+    dice: FaultDice,
     pending_acks: Vec<AckKey>,
     open: bool,
-    stats: SimCollectorStats,
 }
 
 impl<'a> SimCollectorTransport<'a> {
-    /// Wraps `store` behind a network with the given fault profile.
+    /// Wraps `store` behind a network rolling `faults` from `seed`.
+    ///
+    /// # Panics
+    /// Panics on a plan with stalls: virtual time only moves when the
+    /// sender pumps, so there is no clock to hold a frame against.
     pub fn new(store: &'a mut ImpressionStore, faults: SimFaults, seed: u64) -> Self {
+        assert!(
+            faults.stall_rate == 0.0,
+            "SimCollectorTransport cannot carry stalls"
+        );
         SimCollectorTransport {
             store,
-            faults,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            dice: FaultDice::new(faults, seed, Arc::default()),
             pending_acks: Vec::new(),
             open: false,
-            stats: SimCollectorStats::default(),
         }
     }
 
-    /// What happened on the simulated path so far.
-    pub fn stats(&self) -> SimCollectorStats {
-        self.stats
+    /// What the simulated network did so far.
+    pub fn stats(&self) -> FaultStatsSnapshot {
+        self.dice.stats().snapshot()
     }
 
-    fn roll(&mut self, p: f64) -> bool {
-        p > 0.0 && self.rng.gen_bool(p.clamp(0.0, 1.0))
+    /// Drops the acks buffered on the connection, which just died.
+    fn kill_acks(&mut self) {
+        let died = self.pending_acks.len() as u64;
+        let stats = self.dice.stats();
+        // ordering: monotone stat, read by the owner after the run.
+        stats.acks_reset.fetch_add(died, Ordering::Relaxed);
+        self.pending_acks.clear();
     }
 }
 
@@ -122,34 +62,28 @@ impl Transport for SimCollectorTransport<'_> {
         if !self.open {
             return Err(TransportError::Closed);
         }
-        if self.roll(self.faults.reset_rate) {
-            // Connection dies mid-write: the frame cannot decode, and
-            // any acks still buffered on this connection are gone.
-            self.open = false;
-            self.stats.resets += 1;
-            self.stats.acks_reset += self.pending_acks.len() as u64;
-            self.pending_acks.clear();
-            return Err(TransportError::Closed);
-        }
-        if self.roll(self.faults.frame_loss) {
-            self.stats.frames_lost += 1;
-            return Ok(()); // fully written, silently gone
-        }
-        if self.roll(self.faults.corrupt_rate) {
-            self.stats.frames_corrupted += 1;
-            return Ok(()); // collector counts it corrupt; no ack
+        match self.dice.fate() {
+            Fate::Reset => {
+                // Connection dies mid-write: the frame is provably not
+                // applied, and the acks buffered on it are gone.
+                self.open = false;
+                self.kill_acks();
+                return Err(TransportError::Closed);
+            }
+            // Written whole, then silently gone, or counted corrupt by
+            // the collector: the maybe-delivered case, with no ack.
+            Fate::Lost | Fate::Corrupt => return Ok(()),
+            // Applied (the store deduplicates), acked unless ack loss
+            // eats the ack.
+            Fate::Deliver | Fate::Stall => {}
         }
         let mut dec = FrameDecoder::new();
         dec.extend(frame);
         for ev in dec.finish() {
             if let FrameEvent::Beacon(b) = ev {
-                let key = AckKey::from(&b);
                 self.store.apply(&b);
-                self.stats.applied += 1;
-                if self.roll(self.faults.ack_loss) {
-                    self.stats.acks_lost += 1;
-                } else {
-                    self.pending_acks.push(key);
+                if !self.dice.ack_lost() {
+                    self.pending_acks.push(AckKey::from(&b));
                 }
             }
         }
@@ -166,8 +100,7 @@ impl Transport for SimCollectorTransport<'_> {
 
     fn reopen(&mut self) -> Result<(), TransportError> {
         self.open = true;
-        self.stats.acks_reset += self.pending_acks.len() as u64;
-        self.pending_acks.clear();
+        self.kill_acks();
         Ok(())
     }
 }
@@ -176,6 +109,8 @@ impl Transport for SimCollectorTransport<'_> {
 mod tests {
     use super::*;
     use crate::store::ServedImpression;
+    use proptest::prelude::*;
+    use qtag_wire::framing::encode_frames;
     use qtag_wire::sender::{BeaconSender, SenderConfig};
     use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
@@ -212,7 +147,7 @@ mod tests {
         n: u16,
         faults: SimFaults,
         seed: u64,
-    ) -> (u64, u64, SimCollectorStats) {
+    ) -> (u64, u64, FaultStatsSnapshot) {
         let transport = SimCollectorTransport::new(store, faults, seed);
         let mut sender = BeaconSender::new(transport, SenderConfig::default());
         let mut now = 0u64;
@@ -238,10 +173,11 @@ mod tests {
         assert_eq!(acked, 40);
         assert_eq!(dropped, 0);
         // A healthy network injects nothing at all.
-        assert_eq!(sim.frames_lost, 0);
-        assert_eq!(sim.frames_corrupted, 0);
+        assert_eq!(sim.lost, 0);
+        assert_eq!(sim.corrupted, 0);
         assert_eq!(sim.acks_lost, 0);
         assert_eq!(sim.acks_reset, 0);
+        assert_eq!(sim.resets, 0);
         assert_eq!(store.unique_beacons(), 40);
         assert_eq!(store.total_duplicates(), 0);
     }
@@ -252,9 +188,10 @@ mod tests {
         store.record_served(served(1));
         let faults = SimFaults {
             reset_rate: 0.10,
-            frame_loss: 0.30,
+            loss_rate: 0.30,
             corrupt_rate: 0.05,
-            ack_loss: 0.30,
+            ack_loss_rate: 0.30,
+            ..SimFaults::NONE
         };
         let (acked, dropped, sim) = deliver(&mut store, 60, faults, 99);
         // Everything resolved: acked beacons are exactly the store's
@@ -262,8 +199,7 @@ mod tests {
         assert_eq!(acked + dropped, 60);
         assert_eq!(store.unique_beacons(), acked);
         // The profile is hot enough that faults of some class fired.
-        let injected =
-            sim.resets + sim.frames_lost + sim.frames_corrupted + sim.acks_lost + sim.acks_reset;
+        let injected = sim.resets + sim.lost + sim.corrupted + sim.acks_lost + sim.acks_reset;
         assert!(injected > 0, "no faults at this seed: {sim:?}");
         assert!(
             store.total_duplicates() > 0,
@@ -281,5 +217,67 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8), "different seed, different fault path");
+    }
+
+    /// Rates that often sit on the edges: off (no draw) or certain.
+    fn rate() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0]
+    }
+
+    proptest! {
+        /// Frames written straight into the transport, reopening after
+        /// each failed write: every frame meets exactly one fate, the
+        /// store holds exactly the delivered beacons, and each of their
+        /// acks is polled, lost, or dies with a reset connection.
+        #[test]
+        fn every_frame_meets_exactly_one_fate(
+            reset in rate(),
+            loss in rate(),
+            corrupt in rate(),
+            ack_loss in rate(),
+            seed in any::<u64>(),
+            n in 0u16..200,
+            poll_every in 1u16..16,
+        ) {
+            let plan = SimFaults {
+                reset_rate: reset,
+                loss_rate: loss,
+                corrupt_rate: corrupt,
+                ack_loss_rate: ack_loss,
+                ..SimFaults::NONE
+            };
+            let mut store = ImpressionStore::new();
+            store.record_served(served(1));
+            let mut sim = SimCollectorTransport::new(&mut store, plan, seed);
+            sim.reopen().unwrap();
+            let (mut failed, mut acks) = (0, Vec::new());
+            for seq in 0..n {
+                if sim.send_frame(&encode_frames(&[beacon(1, seq)]).unwrap()).is_err() {
+                    failed += 1;
+                    sim.reopen().unwrap();
+                }
+                if seq % poll_every == 0 {
+                    sim.poll_acks(&mut acks).unwrap();
+                }
+            }
+            sim.poll_acks(&mut acks).unwrap();
+            let s = sim.stats();
+            prop_assert_eq!(s.delivered + s.resets + s.lost + s.corrupted, u64::from(n));
+            prop_assert_eq!(s.resets, failed);
+            prop_assert_eq!(store.unique_beacons(), s.delivered);
+            prop_assert_eq!(acks.len() as u64 + s.acks_lost + s.acks_reset, s.delivered);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SimCollectorTransport cannot carry stalls")]
+    fn the_simulated_collector_refuses_stalls() {
+        let mut store = ImpressionStore::new();
+        let stalls = SimFaults {
+            stall_rate: 0.1,
+            stall: std::time::Duration::from_millis(80),
+            ..SimFaults::NONE
+        };
+        SimCollectorTransport::new(&mut store, stalls, 0);
     }
 }

@@ -1,166 +1,126 @@
 //! The network between tag and collection endpoint.
 
+use crate::fault::{Fate, FaultDice, FaultPlan, FaultStatsSnapshot};
+use crate::sync::Arc;
 use qtag_wire::{framing, Beacon, WireError};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::Rng;
 
-/// How a corrupted frame is damaged in transit.
-///
-/// Real damage is not confined to payload bytes: length prefixes get
-/// hit too (turning a frame into noise the decoder must resync past),
-/// and frames get cut off mid-stream when a page unloads or a radio
-/// drops. Each kind exercises a different decoder recovery path.
+/// How a corrupted frame is damaged in transit. Each kind exercises a
+/// different decoder recovery path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionKind {
-    /// Flip one random bit in the payload (past the length prefix);
-    /// caught by the CRC, reported as one corrupt frame.
+    /// One payload bit flipped: the CRC reports one corrupt frame.
     PayloadFlip,
-    /// Flip one random bit in the 2-byte length prefix; the frame
-    /// becomes noise the decoder resynchronises past bytewise.
+    /// One length-prefix bit flipped: noise the decoder resyncs past.
     PrefixFlip,
-    /// Cut the frame off after a random prefix of its bytes; the
-    /// stream continues (or ends) mid-frame.
+    /// Cut after a random prefix: the stream goes on (or ends) mid-frame.
     Truncate,
 }
 
 impl CorruptionKind {
-    /// Every kind, the default corruption mix.
+    /// Every kind, the mix a corrupt beacon's damage is drawn from.
     pub const ALL: [CorruptionKind; 3] = [
         CorruptionKind::PayloadFlip,
         CorruptionKind::PrefixFlip,
         CorruptionKind::Truncate,
     ];
+
+    /// Damages one encoded frame (2-byte length prefix, then payload)
+    /// in place, drawing the bit or the cut from `rng`.
+    pub fn damage(self, frame: &mut Vec<u8>, rng: &mut impl Rng) {
+        match self {
+            CorruptionKind::PayloadFlip => {
+                let idx = rng.gen_range(2..frame.len());
+                frame[idx] ^= 1u8 << rng.gen_range(0..8u32);
+            }
+            CorruptionKind::PrefixFlip => {
+                let idx = rng.gen_range(0..2usize);
+                frame[idx] ^= 1u8 << rng.gen_range(0..8u32);
+            }
+            CorruptionKind::Truncate => {
+                let keep = rng.gen_range(1..frame.len());
+                frame.truncate(keep);
+            }
+        }
+    }
 }
 
-/// A lossy, corrupting link carrying framed beacons.
-///
-/// Models the realities of fire-and-forget tag telemetry: beacons sent
-/// from a page that is being torn down, over congested mobile radios,
-/// sometimes vanish (`loss_rate`) or arrive damaged (`corruption_rate`,
-/// with the damage drawn from the configured [`CorruptionKind`] mix).
-/// Deterministic per seed.
+/// A lossy, corrupting link carrying fire-and-forget beacons: sent from
+/// a page being torn down or over a congested radio, some vanish or
+/// arrive damaged (one [`CorruptionKind`] drawn uniformly). Each
+/// beacon's fate comes from a [`FaultDice`]; deterministic per seed.
 #[derive(Debug)]
 pub struct LossyLink {
-    loss_rate: f64,
-    corruption_rate: f64,
-    kinds: Vec<CorruptionKind>,
-    rng: ChaCha8Rng,
-    sent: u64,
-    lost: u64,
-    corrupted: u64,
-    corrupted_payload: u64,
-    corrupted_prefix: u64,
-    truncated: u64,
+    dice: FaultDice,
 }
 
 impl LossyLink {
     /// Creates a link with the given beacon loss and corruption
     /// probabilities (each in `[0, 1]`).
     pub fn new(loss_rate: f64, corruption_rate: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&loss_rate), "loss_rate out of range");
+        LossyLink::with_plan(
+            FaultPlan {
+                loss_rate,
+                corrupt_rate: corruption_rate,
+                ..FaultPlan::NONE
+            },
+            seed,
+        )
+    }
+
+    /// Creates a link rolling `plan` from `seed`.
+    ///
+    /// # Panics
+    /// Panics on resets, stalls or ack loss: a fire-and-forget beacon
+    /// has no connection, no clock and no ack.
+    pub fn with_plan(plan: FaultPlan, seed: u64) -> Self {
         assert!(
-            (0.0..=1.0).contains(&corruption_rate),
-            "corruption_rate out of range"
+            plan.reset_rate == 0.0 && plan.stall_rate == 0.0 && plan.ack_loss_rate == 0.0,
+            "LossyLink cannot carry resets, stalls or ack loss"
         );
         LossyLink {
-            loss_rate,
-            corruption_rate,
-            kinds: CorruptionKind::ALL.to_vec(),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            sent: 0,
-            lost: 0,
-            corrupted: 0,
-            corrupted_payload: 0,
-            corrupted_prefix: 0,
-            truncated: 0,
+            dice: FaultDice::new(plan, seed, Arc::default()),
         }
     }
 
     /// A perfect link.
     pub fn lossless() -> Self {
-        LossyLink::new(0.0, 0.0, 0)
-    }
-
-    /// Restricts the corruption mix (tests isolate one recovery path;
-    /// the default is [`CorruptionKind::ALL`]).
-    pub fn set_corruption_kinds(&mut self, kinds: &[CorruptionKind]) {
-        assert!(!kinds.is_empty(), "at least one corruption kind");
-        self.kinds = kinds.to_vec();
+        LossyLink::with_plan(FaultPlan::NONE, 0)
     }
 
     /// Transmits a batch of beacons; returns the byte stream as it
-    /// arrives at the collector (dropped beacons omitted, corrupted ones
-    /// damaged in place).
+    /// arrives at the collector (lost beacons omitted, corrupt damaged).
     pub fn transmit(&mut self, beacons: &[Beacon]) -> Result<Vec<u8>, WireError> {
         let mut out = Vec::with_capacity(beacons.len() * 40);
         for b in beacons {
-            self.sent += 1;
-            if self.rng.gen_bool(self.loss_rate) {
-                self.lost += 1;
+            let fate = self.dice.fate();
+            if fate == Fate::Lost {
                 continue;
             }
             let mut frame = framing::encode_frames(std::slice::from_ref(b))?;
-            if self.rng.gen_bool(self.corruption_rate) {
-                self.corrupted += 1;
-                let kind = self.kinds[self.rng.gen_range(0..self.kinds.len())];
-                match kind {
-                    CorruptionKind::PayloadFlip => {
-                        self.corrupted_payload += 1;
-                        let idx = self.rng.gen_range(2..frame.len());
-                        frame[idx] ^= 1u8 << self.rng.gen_range(0..8u32);
-                    }
-                    CorruptionKind::PrefixFlip => {
-                        self.corrupted_prefix += 1;
-                        let idx = self.rng.gen_range(0..2usize);
-                        frame[idx] ^= 1u8 << self.rng.gen_range(0..8u32);
-                    }
-                    CorruptionKind::Truncate => {
-                        self.truncated += 1;
-                        let keep = self.rng.gen_range(1..frame.len());
-                        frame.truncate(keep);
-                    }
-                }
+            if fate == Fate::Corrupt {
+                let rng = self.dice.rng();
+                let kind = CorruptionKind::ALL[rng.gen_range(0..CorruptionKind::ALL.len())];
+                kind.damage(&mut frame, rng);
             }
             out.extend_from_slice(&frame);
         }
         Ok(out)
     }
 
-    /// Beacons handed to the link so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Beacons dropped.
-    pub fn lost(&self) -> u64 {
-        self.lost
-    }
-
-    /// Beacons damaged (all kinds).
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted
-    }
-
-    /// Beacons damaged by a payload bit flip.
-    pub fn corrupted_payload(&self) -> u64 {
-        self.corrupted_payload
-    }
-
-    /// Beacons damaged in their length prefix.
-    pub fn corrupted_prefix(&self) -> u64 {
-        self.corrupted_prefix
-    }
-
-    /// Beacons cut off mid-frame.
-    pub fn truncated(&self) -> u64 {
-        self.truncated
+    /// What the link did to every beacon so far.
+    pub fn stats(&self) -> FaultStatsSnapshot {
+        self.dice.stats().snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qtag_wire::{AdFormat, BrowserKind, EventKind, FrameDecoder, OsKind, SiteType};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn beacon(seq: u16) -> Beacon {
         Beacon {
@@ -178,6 +138,18 @@ mod tests {
         }
     }
 
+    /// `n` frames, each damaged by `kind`.
+    fn damaged(kind: CorruptionKind, n: u16, seed: u64) -> Vec<u8> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut out = Vec::new();
+        for seq in 0..n {
+            let mut frame = framing::encode_frames(&[beacon(seq)]).unwrap();
+            kind.damage(&mut frame, &mut rng);
+            out.extend_from_slice(&frame);
+        }
+        out
+    }
+
     fn decode_all(bytes: &[u8]) -> usize {
         let mut dec = FrameDecoder::new();
         dec.extend(bytes);
@@ -193,7 +165,42 @@ mod tests {
         let beacons: Vec<_> = (0..100).map(beacon).collect();
         let bytes = link.transmit(&beacons).unwrap();
         assert_eq!(decode_all(&bytes), 100);
-        assert_eq!(link.lost(), 0);
+        assert_eq!(link.stats().lost, 0);
+        assert_eq!(
+            link.stats().delivered,
+            100,
+            "the empty plan injects nothing"
+        );
+    }
+
+    /// Rates that often sit on the edges: off (no draw) or certain.
+    fn rate() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0]
+    }
+
+    proptest! {
+        /// Every beacon meets exactly one fate, and the bytes that
+        /// arrive agree with the counts: a delivered frame arrives
+        /// whole, a corrupt one at most whole, a lost one not at all.
+        #[test]
+        fn every_beacon_meets_exactly_one_fate(
+            loss in rate(),
+            corrupt in rate(),
+            seed in any::<u64>(),
+            n in 0u16..200,
+        ) {
+            let mut link = LossyLink::new(loss, corrupt, seed);
+            let bytes = link.transmit(&(0..n).map(beacon).collect::<Vec<_>>()).unwrap();
+            let (s, len) = (link.stats(), bytes.len() as u64);
+            let frame = 2 + qtag_wire::binary::ENCODED_LEN as u64;
+            prop_assert_eq!(s.delivered + s.lost + s.corrupted, u64::from(n));
+            prop_assert_eq!(s.resets + s.stalled, 0);
+            prop_assert!(frame * s.delivered <= len);
+            prop_assert!(len <= frame * (s.delivered + s.corrupted));
+            if s.corrupted == 0 {
+                prop_assert_eq!(decode_all(&bytes) as u64, s.delivered);
+            }
+        }
     }
 
     #[test]
@@ -202,7 +209,7 @@ mod tests {
         let beacons: Vec<_> = (0..50).map(beacon).collect();
         let bytes = link.transmit(&beacons).unwrap();
         assert!(bytes.is_empty());
-        assert_eq!(link.lost(), 50);
+        assert_eq!(link.stats().lost, 50);
     }
 
     #[test]
@@ -216,15 +223,18 @@ mod tests {
 
     #[test]
     fn payload_corruption_is_caught_by_checksum() {
-        let mut link = LossyLink::new(0.0, 1.0, 7);
-        link.set_corruption_kinds(&[CorruptionKind::PayloadFlip]);
-        let beacons: Vec<_> = (0..20).map(beacon).collect();
-        let bytes = link.transmit(&beacons).unwrap();
+        let bytes = damaged(CorruptionKind::PayloadFlip, 20, 7);
         // All frames damaged → none decodes as a valid beacon. (The CRC
         // rejects every single-bit flip.)
         assert_eq!(decode_all(&bytes), 0);
-        assert_eq!(link.corrupted(), 20);
-        assert_eq!(link.corrupted_payload(), 20);
+        let mut dec = FrameDecoder::new();
+        dec.extend(&bytes);
+        let corrupt = dec
+            .drain()
+            .iter()
+            .filter(|e| matches!(e, qtag_wire::framing::FrameEvent::Corrupt(_)))
+            .count();
+        assert_eq!(corrupt, 20);
     }
 
     #[test]
@@ -235,23 +245,26 @@ mod tests {
         let beacons: Vec<_> = (0..60).map(beacon).collect();
         let bytes = link.transmit(&beacons).unwrap();
         assert_eq!(decode_all(&bytes), 0);
-        assert_eq!(link.corrupted(), 60);
+        let stats = link.stats();
+        assert_eq!(stats.corrupted, 60);
         assert_eq!(
-            link.corrupted_payload() + link.corrupted_prefix() + link.truncated(),
-            60,
-            "every corrupted frame is classified exactly once"
+            stats.delivered + stats.lost,
+            0,
+            "every beacon meets one fate"
         );
-        // Seed 7 over 60 frames hits every kind.
-        assert!(link.corrupted_prefix() > 0, "{link:?}");
-        assert!(link.truncated() > 0, "{link:?}");
+        // Seed 7 over 60 frames cuts some frames short and flips some
+        // prefixes: the decoder had to resync bytewise.
+        let frame_len = framing::encode_frames(&[beacon(0)]).unwrap().len();
+        assert!(bytes.len() < 60 * frame_len, "no frame was truncated");
+        let mut dec = FrameDecoder::new();
+        dec.extend(&bytes);
+        dec.drain();
+        assert!(dec.skipped_bytes() > 0, "no bytewise resync");
     }
 
     #[test]
     fn prefix_corruption_exercises_bytewise_resync() {
-        let mut link = LossyLink::new(0.0, 1.0, 11);
-        link.set_corruption_kinds(&[CorruptionKind::PrefixFlip]);
-        let beacons: Vec<_> = (0..10).map(beacon).collect();
-        let mut bytes = link.transmit(&beacons).unwrap();
+        let mut bytes = damaged(CorruptionKind::PrefixFlip, 10, 11);
         // A clean frame after the damage must still be recovered.
         bytes.extend_from_slice(&framing::encode_frames(&[beacon(77)]).unwrap());
         let mut dec = FrameDecoder::new();
@@ -266,7 +279,18 @@ mod tests {
             .collect();
         assert_eq!(decoded, vec![77], "only the clean trailing frame decodes");
         assert!(dec.skipped_bytes() > 0, "resync path must have run");
-        assert_eq!(link.corrupted_prefix(), 10);
+    }
+
+    #[test]
+    fn truncation_keeps_a_strict_nonempty_prefix() {
+        let whole = framing::encode_frames(&[beacon(1)]).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        for _ in 0..50 {
+            let mut frame = whole.clone();
+            CorruptionKind::Truncate.damage(&mut frame, &mut rng);
+            assert!(!frame.is_empty() && frame.len() < whole.len());
+            assert_eq!(frame[..], whole[..frame.len()]);
+        }
     }
 
     #[test]
@@ -334,5 +358,17 @@ mod tests {
     #[should_panic(expected = "loss_rate out of range")]
     fn invalid_rate_panics() {
         LossyLink::new(1.5, 0.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "LossyLink cannot carry resets, stalls or ack loss")]
+    fn a_link_refuses_ack_loss() {
+        LossyLink::with_plan(
+            FaultPlan {
+                ack_loss_rate: 0.1,
+                ..FaultPlan::NONE
+            },
+            0,
+        );
     }
 }

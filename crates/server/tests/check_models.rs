@@ -15,8 +15,8 @@
 
 use qtag_check::sync::thread;
 use qtag_check::Builder;
-use qtag_server::sync::{Arc, Mutex};
-use qtag_server::{ImpressionStore, IngestConfig, IngestService, ServedImpression, ShardedStore};
+use qtag_server::sync::Arc;
+use qtag_server::{IngestConfig, IngestService, ServedImpression, ShardedStore};
 use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
 fn served(id: u64) -> ServedImpression {
@@ -137,8 +137,13 @@ fn sharded_handoff_applies_all_accepted() {
 #[test]
 fn idle_shutdown_terminates_in_every_schedule() {
     let report = Builder::bounded(2).check(|| {
-        let store = Arc::new(Mutex::new(ImpressionStore::new()));
-        let service = IngestService::start(store, 1);
+        let service = IngestService::start_sharded(
+            ShardedStore::new(1),
+            IngestConfig {
+                workers: 1,
+                ..IngestConfig::default()
+            },
+        );
         service.shutdown();
     });
     assert!(report.complete, "model must exhaust its schedule tree");

@@ -1,10 +1,12 @@
 //! Property tests: every structurally valid beacon survives both codecs,
 //! and the streaming decoder recovers all frames from arbitrary chunking
 //! and interleaved noise, and survives hostile input without a panic or
-//! an unaccounted byte.
+//! an unaccounted byte. The ack decoder does the same for the return
+//! path.
 
 use proptest::prelude::*;
 use qtag_wire::framing::{encode_frames, FrameDecoder, FrameEvent};
+use qtag_wire::sender::{encode_ack, AckDecoder, AckKey, ACK_LEN};
 use qtag_wire::{binary, json, AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
 fn arb_beacon() -> impl Strategy<Value = Beacon> {
@@ -206,6 +208,51 @@ proptest! {
                 prop_assert!(it.any(|g| g == b), "lost untouched beacon {}", i);
             }
         }
+    }
+
+    /// Hostile input on the ack path: any byte string split at any
+    /// point yields the same keys as one whole-buffer call, exactly
+    /// `len / ACK_LEN` of them. The short tail stays buffered until it
+    /// is completed, and `reset` discards it.
+    #[test]
+    fn ack_decoder_handles_any_bytes_at_any_split(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        split in any::<u16>(),
+        next_id in any::<u64>(),
+        next_seq in any::<u16>(),
+    ) {
+        let split = split as usize % (bytes.len() + 1);
+        let mut whole = Vec::new();
+        AckDecoder::new().extend(&bytes, &mut whole);
+        prop_assert_eq!(whole.len(), bytes.len() / ACK_LEN);
+
+        let mut dec = AckDecoder::new();
+        let mut keys = Vec::new();
+        dec.extend(&bytes[..split], &mut keys);
+        dec.extend(&bytes[split..], &mut keys);
+        prop_assert_eq!(&keys, &whole);
+
+        // Completing the buffered tail yields exactly one more key,
+        // built from the tail's bytes.
+        let tail = &bytes[bytes.len() - bytes.len() % ACK_LEN..];
+        let mut record = tail.to_vec();
+        record.resize(ACK_LEN, 0);
+        let mut more = Vec::new();
+        dec.extend(&record[tail.len()..], &mut more);
+        let mut expect = Vec::new();
+        AckDecoder::new().extend(&record, &mut expect);
+        prop_assert_eq!(more, expect);
+
+        // After a reset the tail is gone: a fresh record decodes whole.
+        let mut dec = AckDecoder::new();
+        dec.extend(&bytes, &mut Vec::new());
+        dec.reset();
+        let key = AckKey { impression_id: next_id, seq: next_seq };
+        let mut fresh = Vec::new();
+        encode_ack(key, &mut fresh);
+        let mut after = Vec::new();
+        dec.extend(&fresh, &mut after);
+        prop_assert_eq!(after, vec![key]);
     }
 }
 

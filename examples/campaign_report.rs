@@ -11,13 +11,13 @@
 
 use qtag::adtech::{AdSlotRequest, Campaign, Dsp, Exchange, ExchangeKind, GeoRegion, Sector};
 use qtag::geometry::Size;
-use qtag::server::sync::Mutex;
-use qtag::server::{ImpressionStore, IngestService, LossyLink, ReportBuilder, ServedImpression};
+use qtag::server::{
+    IngestConfig, IngestService, LossyLink, ReportBuilder, ServedImpression, ShardedStore,
+};
 use qtag::user::{Population, PopulationConfig, SessionSim};
 use qtag::wire::SiteType;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 const IMPRESSIONS: u32 = 400;
 
@@ -34,10 +34,14 @@ fn main() {
 
     // One store per measurement solution, each behind the threaded
     // ingestion service (as the DSP's collection endpoints would be).
-    let qtag_store = Arc::new(Mutex::new(ImpressionStore::new()));
-    let verifier_store = Arc::new(Mutex::new(ImpressionStore::new()));
-    let qtag_ingest = IngestService::start(Arc::clone(&qtag_store), 2);
-    let verifier_ingest = IngestService::start(Arc::clone(&verifier_store), 2);
+    let qtag_store = ShardedStore::new(1);
+    let verifier_store = ShardedStore::new(1);
+    let two_workers = || IngestConfig {
+        workers: 2,
+        ..IngestConfig::default()
+    };
+    let qtag_ingest = IngestService::start_sharded(qtag_store.clone(), two_workers());
+    let verifier_ingest = IngestService::start_sharded(verifier_store.clone(), two_workers());
 
     let sim = SessionSim::default();
     let mut served = 0u32;
@@ -67,8 +71,8 @@ fn main() {
             site_type: env.site_type,
             ad_format: ad.format,
         };
-        qtag_store.lock().record_served(log_entry.clone());
-        verifier_store.lock().record_served(log_entry);
+        qtag_store.record_served(log_entry.clone());
+        verifier_store.record_served(log_entry);
 
         let out = sim.run(&ad, &env, 0xC0FFEE ^ ad.impression_id);
 
@@ -90,8 +94,7 @@ fn main() {
         ("Q-Tag", &qtag_store),
         ("Commercial verifier", &verifier_store),
     ] {
-        let store = store.lock();
-        let reports = ReportBuilder::per_campaign(&store);
+        let reports = ReportBuilder::per_campaign_sharded(store);
         let r = &reports[0];
         println!("{name}:");
         println!(
@@ -99,7 +102,7 @@ fn main() {
             r.total.measured_rate() * 100.0,
             r.total.viewability_rate() * 100.0
         );
-        let table = ReportBuilder::slice_table(&store);
+        let table = ReportBuilder::slice_table_sharded(store);
         let mut keys: Vec<_> = table.keys().copied().collect();
         keys.sort_by_key(|k| (k.site_type.code(), k.os.code()));
         for key in keys {

@@ -8,14 +8,12 @@
 //! beacons sent == beacons applied + corrupt frames + shed beacons
 //! ```
 
-use qtag::server::sync::Mutex;
 use qtag_collectd::{Collector, CollectorConfig};
-use qtag_server::{ImpressionStore, ServedImpression};
+use qtag_server::{ServedImpression, ShardedStore};
 use qtag_wire::framing::encode_frames;
 use qtag_wire::{json, AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn beacon(impression_id: u64, seq: u16, event: EventKind) -> Beacon {
@@ -46,12 +44,11 @@ fn served(impression_id: u64) -> ServedImpression {
 }
 
 fn start_collector(inlet_capacity: usize) -> Collector {
-    let store = Arc::new(Mutex::new(ImpressionStore::new()));
     let cfg = CollectorConfig {
         inlet_capacity,
         ..CollectorConfig::default()
     };
-    Collector::start(cfg, store).expect("bind localhost")
+    Collector::start_sharded(cfg, ShardedStore::new(1)).expect("bind localhost")
 }
 
 /// Writes the byte stream in small slices so frames straddle TCP
@@ -70,7 +67,7 @@ fn write_chunked(sock: &mut TcpStream, stream: &[u8], chunk: usize) {
 fn mixed_protocol_clients_with_abrupt_disconnect_conserve_exactly() {
     let collector = start_collector(qtag_server::DEFAULT_INLET_CAPACITY);
     let addr = collector.local_addr();
-    collector.store().lock().record_served(served(500));
+    collector.sharded_store().record_served(served(500));
 
     const BINARY_CLIENTS: u64 = 4;
     const PER_CLIENT: u64 = 500;
@@ -146,8 +143,8 @@ fn mixed_protocol_clients_with_abrupt_disconnect_conserve_exactly() {
 #[test]
 fn graceful_shutdown_drains_beacons_into_store_verdicts() {
     let collector = start_collector(qtag_server::DEFAULT_INLET_CAPACITY);
-    let store = Arc::clone(collector.store());
-    store.lock().record_served(served(42));
+    let store = collector.sharded_store().clone();
+    store.record_served(served(42));
 
     let stream = encode_frames(&[
         beacon(42, 0, EventKind::Measurable),
@@ -164,7 +161,7 @@ fn graceful_shutdown_drains_beacons_into_store_verdicts() {
     assert!(ops.conserves(2), "{ops:?}");
     assert_eq!(ops.ingest.beacons, 2, "{ops:?}");
     assert_eq!(
-        store.lock().verdict(42),
+        store.verdict(42),
         (true, true),
         "measurable + in-view verdict after drain"
     );

@@ -9,13 +9,14 @@ use qtag::core::{QTag, QTagConfig};
 use qtag::dom::{Origin, Page, Screen, Tab, TabId, WindowKind};
 use qtag::geometry::{Rect, Size, Vector};
 use qtag::render::{Engine, EngineConfig, SimDuration};
-use qtag::server::sync::Mutex;
-use qtag::server::{ImpressionStore, IngestService, LossyLink, ReportBuilder, ServedImpression};
+use qtag::server::{
+    ImpressionStore, IngestConfig, IngestService, LossyLink, ReportBuilder, ServedImpression,
+    ShardedStore,
+};
 use qtag::user::{EnvSample, Population, PopulationConfig, SessionSim};
 use qtag::wire::{AdFormat, EventKind, OsKind, SiteType};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 /// The complete story of one impression, crossing every crate boundary
 /// in the workspace, with the server's verdict checked at the end.
@@ -90,8 +91,8 @@ fn one_impression_travels_the_whole_stack() {
     assert!(beacons.iter().any(|b| b.event == EventKind::InView));
 
     // --- wire + transport + threaded ingestion ---
-    let store = Arc::new(Mutex::new(ImpressionStore::new()));
-    store.lock().record_served(ServedImpression {
+    let store = ShardedStore::new(1);
+    store.record_served(ServedImpression {
         impression_id: ad.impression_id,
         campaign_id: ad.campaign_id.0,
         os: OsKind::Windows10,
@@ -99,15 +100,20 @@ fn one_impression_travels_the_whole_stack() {
         site_type: SiteType::Browser,
         ad_format: ad.format,
     });
-    let service = IngestService::start(Arc::clone(&store), 2);
+    let service = IngestService::start_sharded(
+        store.clone(),
+        IngestConfig {
+            workers: 2,
+            ..IngestConfig::default()
+        },
+    );
     let mut link = LossyLink::lossless();
     service.submit(ad.impression_id, link.transmit(&beacons).unwrap());
     service.shutdown();
 
     // --- report ---
-    let store = store.lock();
     assert_eq!(store.verdict(ad.impression_id), (true, true));
-    let reports = ReportBuilder::per_campaign(&store);
+    let reports = ReportBuilder::per_campaign_sharded(&store);
     assert_eq!(reports[0].total.measured_rate(), 1.0);
     assert_eq!(reports[0].total.viewability_rate(), 1.0);
 }

@@ -6,8 +6,10 @@ use qtag::core::{QTag, QTagConfig};
 use qtag::dom::{Origin, Page, Screen, Tab, TabId, WindowKind};
 use qtag::geometry::{Rect, Size};
 use qtag::render::{Engine, EngineConfig, SimDuration};
-use qtag::server::sync::Mutex;
-use qtag::server::{ImpressionStore, IngestService, LossyLink, ReportBuilder, ServedImpression};
+use qtag::server::{
+    ImpressionStore, IngestConfig, IngestService, LossyLink, ReportBuilder, ServedImpression,
+    ShardedStore,
+};
 use qtag::wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 use std::sync::Arc;
 
@@ -76,14 +78,17 @@ fn measured_rate_degrades_gracefully_under_loss() {
 /// service keeps every good beacon and counts the bad frames.
 #[test]
 fn ingestion_survives_corrupted_interleaved_streams() {
-    let store = Arc::new(Mutex::new(ImpressionStore::new()));
-    {
-        let mut s = store.lock();
-        for id in 1..=50 {
-            s.record_served(served(id));
-        }
+    let store = ShardedStore::new(1);
+    for id in 1..=50 {
+        store.record_served(served(id));
     }
-    let service = IngestService::start(Arc::clone(&store), 3);
+    let service = IngestService::start_sharded(
+        store.clone(),
+        IngestConfig {
+            workers: 3,
+            ..IngestConfig::default()
+        },
+    );
     let mut corrupting = LossyLink::new(0.0, 0.5, 7);
     for id in 1..=50u64 {
         let bytes = corrupting
@@ -96,8 +101,7 @@ fn ingestion_survives_corrupted_interleaved_streams() {
     }
     let stats = Arc::clone(service.stats_arc());
     service.shutdown();
-    let store = store.lock();
-    let reports = ReportBuilder::per_campaign(&store);
+    let reports = ReportBuilder::per_campaign_sharded(&store);
     // With two redundant beacons at 50 % corruption, ~75 % measured.
     let rate = reports[0].total.measured_rate();
     assert!((0.55..=0.92).contains(&rate), "measured rate {rate}");

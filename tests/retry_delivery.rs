@@ -16,15 +16,14 @@
 //! double-applied to an aggregate.
 
 use proptest::prelude::*;
-use qtag::server::sync::Mutex;
 use qtag_collectd::{Collector, CollectorConfig};
 use qtag_server::{
-    ImpressionStore, ReportBuilder, ServedImpression, SimCollectorTransport, SimFaults,
+    ImpressionStore, ReportBuilder, ServedImpression, ShardedStore, SimCollectorTransport,
+    SimFaults,
 };
 use qtag_wire::framing::{encode_frames, FrameEvent};
 use qtag_wire::sender::{encode_ack, AckDecoder, AckKey, BeaconSender, SenderConfig, TcpTransport};
 use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, FrameDecoder, OsKind, SiteType};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn beacon(impression_id: u64, campaign_id: u32, seq: u16) -> Beacon {
@@ -226,15 +225,12 @@ proptest! {
 fn acked_tcp_delivery_into_real_collector_is_exactly_once() {
     const IMPRESSIONS: u64 = 120;
     const SEQS: u16 = 3;
-    let store = Arc::new(Mutex::new(ImpressionStore::new()));
-    {
-        let mut s = store.lock();
-        for id in 1..=IMPRESSIONS {
-            s.record_served(served(id, if id % 2 == 0 { 2 } else { 1 }));
-        }
+    let store = ShardedStore::new(1);
+    for id in 1..=IMPRESSIONS {
+        store.record_served(served(id, if id % 2 == 0 { 2 } else { 1 }));
     }
-    let collector =
-        Collector::start(CollectorConfig::default(), Arc::clone(&store)).expect("start collector");
+    let collector = Collector::start_sharded(CollectorConfig::default(), store.clone())
+        .expect("start collector");
 
     let transport = TcpTransport::new(collector.local_addr());
     let cfg = SenderConfig {
@@ -265,7 +261,7 @@ fn acked_tcp_delivery_into_real_collector_is_exactly_once() {
     assert!(stats.conserves(0), "{stats:?}");
     assert_eq!(stats.acked, total);
     assert_eq!(stats.dropped_after_retries, 0);
-    let s = store.lock();
+    let s = store;
     // Exactly once in the aggregates: spurious wall-clock retransmits
     // (if any) are deduplicated server-side and re-acked.
     assert_eq!(s.unique_beacons(), total);

@@ -124,28 +124,32 @@ proptest! {
 
     /// Direct application: any sequence, any shard count — reports,
     /// slice table, and counters are bit-identical after merge-on-read.
+    /// Every case also runs at one shard, the store every single-store
+    /// caller builds.
     #[test]
     fn sharded_store_matches_reference(
         beacons in proptest::collection::vec(arb_beacon(), 0..400),
         shards in 1usize..=16,
     ) {
-        let mut reference = ImpressionStore::new();
-        let sharded = ShardedStore::new(shards);
-        record_served_everywhere(&mut reference, &sharded);
-        for b in &beacons {
-            reference.apply(b);
-            sharded.apply(b);
-        }
-        assert_reports_identical(&reference, &sharded);
-        assert_counters_identical(&reference, &sharded);
-        // Per-impression state agrees point-wise too.
-        for id in 0..IMPRESSION_SPACE {
-            prop_assert_eq!(reference.verdict(id), sharded.verdict(id), "verdict {}", id);
-            prop_assert_eq!(
-                reference.record(id).cloned(),
-                sharded.record(id),
-                "record {}", id
-            );
+        for shards in [1, shards] {
+            let mut reference = ImpressionStore::new();
+            let sharded = ShardedStore::new(shards);
+            record_served_everywhere(&mut reference, &sharded);
+            for b in &beacons {
+                reference.apply(b);
+                sharded.apply(b);
+            }
+            assert_reports_identical(&reference, &sharded);
+            assert_counters_identical(&reference, &sharded);
+            // Per-impression state agrees point-wise too.
+            for id in 0..IMPRESSION_SPACE {
+                prop_assert_eq!(reference.verdict(id), sharded.verdict(id), "verdict {}", id);
+                prop_assert_eq!(
+                    reference.record(id).cloned(),
+                    sharded.record(id),
+                    "record {}", id
+                );
+            }
         }
     }
 
@@ -354,21 +358,4 @@ proptest! {
         drop(recovered);
         std::fs::remove_dir_all(&dir).unwrap();
     }
-}
-
-/// Non-property pin: the exact shard-count-1 wrapper shares state with
-/// a caller-held store, so existing single-store call sites observe
-/// every sharded-interface write.
-#[test]
-fn one_shard_wrapper_is_transparent() {
-    use qtag::server::sync::Mutex;
-    use std::sync::Arc;
-    let inner = Arc::new(Mutex::new(ImpressionStore::new()));
-    let sharded = ShardedStore::from_single(Arc::clone(&inner));
-    sharded.record_served(served(2));
-    sharded.apply(&beacon(2, 0, 1, 10, 500));
-    sharded.apply(&beacon(2, 1, 2, 20, 900));
-    assert_eq!(inner.lock().verdict(2), (true, true));
-    let reports = ReportBuilder::per_campaign_sharded(&sharded);
-    assert_eq!(reports, ReportBuilder::per_campaign(&inner.lock()));
 }
