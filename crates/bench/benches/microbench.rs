@@ -9,14 +9,14 @@
 //!   hot path), the two checksum kernels, and one WAL beacon encode
 //!   (the shard journal's hot path).
 //! * `region/*` — compositor occlusion math.
-//! * `server/ingest` — end-to-end ingestion service throughput.
+//!
+//! Ingestion throughput is timed by qbench's `ingest_durable` workload.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use qtag_core::{AreaEstimator, PixelLayout, QTag, QTagConfig};
 use qtag_dom::{Origin, Page, Screen, Tab, TabId, WindowKind};
 use qtag_geometry::{Rect, Region, Size};
 use qtag_render::{Engine, EngineConfig, SimDuration};
-use qtag_server::{IngestConfig, IngestService, LossyLink, ServedImpression, ShardedStore};
 use qtag_wire::crc::{crc16, crc32};
 use qtag_wire::{binary, framing, AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
@@ -165,65 +165,11 @@ fn bench_estimator(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ingest(c: &mut Criterion) {
-    let mut group = c.benchmark_group("server");
-    group.sample_size(20);
-    group.bench_function("ingest_1k_beacons_4_workers", |b| {
-        b.iter_batched(
-            || {
-                let store = ShardedStore::new(1);
-                {
-                    for id in 0..100u64 {
-                        store.record_served(ServedImpression {
-                            impression_id: id,
-                            campaign_id: 1,
-                            os: OsKind::Android,
-                            browser: BrowserKind::Chrome,
-                            site_type: SiteType::Browser,
-                            ad_format: AdFormat::Display,
-                        });
-                    }
-                }
-                let mut link = LossyLink::lossless();
-                let chunks: Vec<(u64, Vec<u8>)> = (0..100u64)
-                    .map(|id| {
-                        let beacons: Vec<Beacon> = (0..10)
-                            .map(|s| {
-                                let mut b = sample_beacon(s);
-                                b.impression_id = id;
-                                b
-                            })
-                            .collect();
-                        (id, link.transmit(&beacons).unwrap())
-                    })
-                    .collect();
-                (store, chunks)
-            },
-            |(store, chunks)| {
-                let service = IngestService::start_sharded(
-                    store,
-                    IngestConfig {
-                        workers: 4,
-                        ..IngestConfig::default()
-                    },
-                );
-                for (id, bytes) in chunks {
-                    service.submit(id, bytes);
-                }
-                service.shutdown();
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_tag_overhead,
     bench_wire,
     bench_region,
-    bench_estimator,
-    bench_ingest
+    bench_estimator
 );
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! collectd [--bind ADDR] [--max-conns N] [--read-timeout-ms MS]
-//!          [--capacity N] [--shards N] [--batch N]
+//!          [--capacity N] [--shards N]
 //!          [--reactor] [--reactor-workers N] [--ack-buffer-cap BYTES]
 //!          [--duration-secs S] [--metrics PATH] [--metrics-json PATH]
 //!          [--wal-dir DIR] [--sync none|batch|record]
@@ -41,7 +41,7 @@ use std::io::BufRead;
 use std::time::Duration;
 
 const USAGE: &str = "usage: collectd [--bind ADDR] [--max-conns N] [--read-timeout-ms MS] \
-                     [--capacity N] [--shards N] [--batch N] \
+                     [--capacity N] [--shards N] \
                      [--reactor] [--reactor-workers N] [--ack-buffer-cap BYTES] \
                      [--duration-secs S] [--metrics PATH] [--metrics-json PATH] \
                      [--wal-dir DIR] [--sync none|batch|record]";
@@ -87,7 +87,6 @@ fn parse_args() -> Result<BinArgs, String> {
             }
             "--capacity" => out.cfg.inlet_capacity = parse(flag, value()?)?,
             "--shards" => out.shards = parse(flag, value()?)?,
-            "--batch" => out.cfg.batch = parse(flag, value()?)?,
             "--reactor" => out.cfg.reactor = true,
             "--reactor-workers" => out.cfg.reactor_workers = parse(flag, value()?)?,
             "--ack-buffer-cap" => out.cfg.ack_buffer_cap = parse(flag, value()?)?,

@@ -72,14 +72,10 @@ impl Collector {
         let ingest = IngestService::start_sharded(
             store.clone(),
             IngestConfig {
-                // Parser workers serve only the chunk path, which the
-                // daemon never feeds: connections decode in-line and use
-                // the inlet.
-                workers: 1,
-                batch: cfg.batch,
                 inlet_capacity: cfg.inlet_capacity,
                 metrics: Some(Arc::clone(&metrics)),
                 journal,
+                ..IngestConfig::default()
             },
         );
         let ingest_stats = Arc::clone(ingest.stats_arc());

@@ -30,9 +30,9 @@ pub struct CollectorConfig {
     /// *batches*. When full, beacons are shed and counted rather than
     /// stalling connection reads.
     pub inlet_capacity: usize,
-    /// Maximum beacons per batch handed to a shard applier by the
-    /// embedded ingestion service's parser workers (connection threads
-    /// batch naturally — one hand-off per socket read).
+    /// Has no effect: connections batch naturally, one hand-off per
+    /// socket read. Kept only while the benchmark package still sets
+    /// it; leave it at its default.
     pub batch: usize,
     /// Serve connections on an epoll reactor (a few worker event
     /// loops, one non-blocking state machine per connection) instead
@@ -61,7 +61,7 @@ impl Default for CollectorConfig {
             poll_interval: Duration::from_millis(10),
             max_line_len: 1024,
             inlet_capacity: qtag_server::DEFAULT_INLET_CAPACITY,
-            batch: qtag_server::DEFAULT_BATCH,
+            batch: 64,
             reactor: false,
             reactor_workers: 2,
             ack_buffer_cap: 64 * 1024,

@@ -629,11 +629,8 @@ mod tests {
         let service = IngestService::start_sharded(
             store.clone(),
             IngestConfig {
-                workers: 1,
-                batch: 8,
                 inlet_capacity: 64,
-                metrics: None,
-                journal: None,
+                ..IngestConfig::default()
             },
         );
         let ctx = ConnCtx {

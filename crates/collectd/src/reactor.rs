@@ -475,11 +475,8 @@ mod tests {
         let service = IngestService::start_sharded(
             store.clone(),
             IngestConfig {
-                workers: 1,
-                batch: 16,
                 inlet_capacity: 1024, // roomy: no nondeterministic shedding
-                metrics: None,
-                journal: None,
+                ..IngestConfig::default()
             },
         );
         Rig {
@@ -553,6 +550,38 @@ mod tests {
         assert_eq!(snap.acked_connections, 0);
         assert_eq!(ingest.beacons + ingest.shed_beacons, 20);
         assert_eq!(r.store.unique_beacons(), 20);
+    }
+
+    /// A line nested far past the JSON parser's depth limit, under a
+    /// line cap that admits it, is one corrupt frame: the connection
+    /// survives it and applies the next valid line.
+    #[test]
+    fn deeply_nested_json_line_is_one_corrupt_frame() {
+        let line = |b: &Beacon| qtag_wire::json::encode(b).unwrap() + "\n";
+        let mut stream = line(&beacon(1, 0));
+        stream.push_str(&"[".repeat(60_000));
+        stream.push('\n');
+        stream.push_str(&line(&beacon(2, 0)));
+        let chunks: Vec<Vec<u8>> = stream.as_bytes().chunks(4096).map(<[u8]>::to_vec).collect();
+        let r = rig();
+        let cfg = CollectorConfig {
+            max_line_len: 65_536,
+            ..CollectorConfig::default()
+        };
+        reactor_chunks(
+            Arc::new(cfg),
+            Arc::clone(&r.stats),
+            r.service.inlet(),
+            Arc::clone(&r.shutdown),
+            &chunks,
+            64,
+        );
+        r.service.shutdown();
+        let snap = r.stats.snapshot();
+        assert_eq!(snap.corrupt_frames, 1, "{snap:?}");
+        assert_eq!(snap.frames_decoded, 2, "{snap:?}");
+        assert_eq!(r.store.verdict(2), (true, true));
+        assert_eq!(r.store.unique_beacons(), 2);
     }
 
     /// The idle clock starts at admission and refreshes on data.

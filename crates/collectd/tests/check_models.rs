@@ -69,11 +69,8 @@ fn rig() -> Rig {
     let service = IngestService::start_sharded(
         store.clone(),
         IngestConfig {
-            workers: 1,
-            batch: 2,
             inlet_capacity: 2,
-            metrics: None,
-            journal: None,
+            ..IngestConfig::default()
         },
     );
     Rig {

@@ -1,11 +1,17 @@
 //! The `collectd` binary refuses a bad command line with its usage
-//! line and exit code 2, never with a panic.
+//! line and exit code 2, never with a panic. `--batch` is refused like
+//! any unknown flag: it tuned nothing the daemon runs.
 
 use std::process::Command;
 
 #[test]
 fn bad_flags_print_usage_and_exit_2() {
-    for args in [&["--shards", "x"][..], &["--bogus"], &["--bind"]] {
+    for args in [
+        &["--shards", "x"][..],
+        &["--bogus"],
+        &["--bind"],
+        &["--batch", "8"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_collectd"))
             .args(args)
             .output()

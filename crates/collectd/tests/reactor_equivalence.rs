@@ -120,15 +120,12 @@ fn rig() -> Rig {
     let service = IngestService::start_sharded(
         store.clone(),
         IngestConfig {
-            workers: 1,
-            batch: 8,
             // Roomy inlet: shedding depends on applier timing, which
             // would make the two runs incomparable. Conservation under
             // shedding is covered by the qtag_check models, where the
             // schedule itself is controlled.
             inlet_capacity: 4096,
-            metrics: None,
-            journal: None,
+            ..IngestConfig::default()
         },
     );
     Rig {

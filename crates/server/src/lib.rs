@@ -15,9 +15,10 @@
 //!   missing in production, which is part of why no solution measures
 //!   100 % of impressions), and [`SimCollectorTransport`], a simulated
 //!   acked collector for the retrying sender;
-//! * [`IngestService`] — a multi-worker ingestion pipeline (crossbeam
-//!   channels + worker threads, graceful shutdown) that parses byte
-//!   streams into beacons and folds them into the store;
+//! * [`IngestService`] — one applier thread per store shard, fed
+//!   decoded beacons in batches through a [`BeaconInlet`] (bounded
+//!   crossbeam channels, graceful shutdown), folding them into the
+//!   store;
 //! * [`ImpressionStore`] — per-impression event state with
 //!   deduplication, keyed joins against the ad server's *served* log;
 //! * [`CampaignReport`] / [`ReportBuilder`] — the analytics layer that
@@ -47,7 +48,7 @@ pub use billing::{invoice_campaigns, total_usd, Invoice, PricingModel};
 pub use fault::{Fate, FaultDice, FaultPlan, FaultStats, FaultStatsSnapshot};
 pub use ingest::{
     BatchOutcome, BeaconInlet, IngestConfig, IngestMetrics, IngestService, IngestStats,
-    IngestStatsSnapshot, ShardJournal, DEFAULT_BATCH, DEFAULT_INLET_CAPACITY,
+    IngestStatsSnapshot, ShardJournal, DEFAULT_INLET_CAPACITY,
 };
 pub use report::{
     mean, std_dev, to_csv, CampaignReport, FleetSummary, RateSlice, ReportBuilder, SliceKey,

@@ -2,8 +2,8 @@
 //! by impression-id hash.
 //!
 //! The single-aggregator ingest design serialises every beacon through
-//! one `Mutex<ImpressionStore>`; parser workers and connection readers
-//! scale with cores but aggregation does not. [`ShardedStore`] removes
+//! one `Mutex<ImpressionStore>`; connection readers scale with cores
+//! but aggregation does not. [`ShardedStore`] removes
 //! that choke point: each shard is an independent store guarded by its
 //! own lock, an impression lives entirely on the shard its id hashes
 //! to, and an applier thread per shard folds batches without ever

@@ -7,10 +7,10 @@
 //! RUSTFLAGS="--cfg qtag_check" cargo test -p qtag-server --test check_models
 //! ```
 //!
-//! These models spawn the service's own applier and worker threads, so
-//! even a one-shard/one-worker service is a 3–4 thread model; all of
-//! them therefore run under a CHESS-style preemption bound rather than
-//! full DFS (see `crates/check`).
+//! These models spawn the service's own applier threads (one per
+//! shard) beside the model's inlet thread, so even a one-shard service
+//! is a 2–3 thread model; all of them run under a CHESS-style
+//! preemption bound rather than full DFS (see `crates/check`).
 #![cfg(qtag_check)]
 
 use qtag_check::sync::thread;
@@ -60,11 +60,8 @@ fn offer_vs_shutdown_conserves_every_beacon() {
         let service = IngestService::start_sharded(
             store.clone(),
             IngestConfig {
-                workers: 1,
-                batch: 2,
                 inlet_capacity: 1,
-                metrics: None,
-                journal: None,
+                ..IngestConfig::default()
             },
         );
         let stats = Arc::clone(service.stats_arc());
@@ -108,11 +105,8 @@ fn sharded_handoff_applies_all_accepted() {
         let service = IngestService::start_sharded(
             store.clone(),
             IngestConfig {
-                workers: 1,
-                batch: 1,
                 inlet_capacity: 2,
-                metrics: None,
-                journal: None,
+                ..IngestConfig::default()
             },
         );
         let stats = Arc::clone(service.stats_arc());
@@ -132,18 +126,12 @@ fn sharded_handoff_applies_all_accepted() {
 }
 
 /// A quiescent start/shutdown cycle must terminate in every schedule
-/// (no lost wakeup between the worker's `Shutdown` message, the applier
-/// channel disconnect, and the joins).
+/// (no lost wakeup between dropping the shard senders, the applier's
+/// channel disconnect, and the join).
 #[test]
 fn idle_shutdown_terminates_in_every_schedule() {
     let report = Builder::bounded(2).check(|| {
-        let service = IngestService::start_sharded(
-            ShardedStore::new(1),
-            IngestConfig {
-                workers: 1,
-                ..IngestConfig::default()
-            },
-        );
+        let service = IngestService::start_sharded(ShardedStore::new(1), IngestConfig::default());
         service.shutdown();
     });
     assert!(report.complete, "model must exhaust its schedule tree");

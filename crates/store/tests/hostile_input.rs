@@ -1,4 +1,4 @@
-//! Hostile-input properties for the WAL readers.
+//! Hostile-input properties for the WAL and snapshot readers.
 //!
 //! A log file is untrusted bytes: media errors, a torn write, or a
 //! hand-edited file can put anything in it. Whatever is there —
@@ -7,15 +7,26 @@
 //! `wal::replay` returns a header error or a torn-tail [`Replay`]
 //! holding exactly the intact prefix. Neither panics, and a corrupted
 //! beacon frame is never accepted as data.
+//!
+//! A snapshot file is untrusted the same way. Whatever a damaged
+//! `shard-000.snap` holds, `read_snapshot` returns a snapshot or an
+//! `InvalidData` error, never panics and never allocates by a length
+//! field the body cannot back; and `DurableBackend::open` refuses every
+//! snapshot `read_snapshot` refuses.
 
 use proptest::prelude::*;
-use qtag_server::ServedImpression;
+use qtag_server::{SeqSeen, ServedImpression};
 use qtag_store::record::{self, decode_frame, RecordError, WalRecord};
+use qtag_store::snapshot::snapshot_path;
 use qtag_store::wal::{replay, wal_path, Replay, WalWriter, WAL_HEADER_LEN};
-use qtag_store::SyncPolicy;
+use qtag_store::{
+    crc32, read_snapshot, DurableBackend, DurableConfig, ShardSnapshot, StorageBackend, SyncPolicy,
+};
 use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Fresh scratch directory (process id + counter; no wall clock).
 fn test_dir(tag: &str) -> PathBuf {
@@ -233,5 +244,226 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).expect("remove test dir");
+    }
+}
+
+/// Snapshot header length: magic, version, shard, epoch.
+const SNAP_HEADER_LEN: usize = 16;
+
+/// A valid `shard-000.snap` of a one-shard durable store: served
+/// impressions, measured and viewed records, a duplicate, an orphan,
+/// rollup buckets and histograms, so every length field in the body is
+/// non-trivial. Built once.
+fn valid_snapshot() -> &'static [u8] {
+    static SNAP: OnceLock<Vec<u8>> = OnceLock::new();
+    SNAP.get_or_init(|| {
+        let dir = test_dir("snap-base");
+        let (backend, _) = DurableBackend::open(DurableConfig {
+            dir: dir.clone(),
+            shards: 1,
+            sync: SyncPolicy::NoSync,
+        })
+        .expect("open fresh backend");
+        for id in 1..=4u64 {
+            backend.record_served(ServedImpression {
+                impression_id: id,
+                campaign_id: 7,
+                os: OsKind::Android,
+                browser: BrowserKind::Chrome,
+                site_type: SiteType::App,
+                ad_format: AdFormat::Display,
+            });
+        }
+        let beacon = |id: u64, event: EventKind, seq: u16| Beacon {
+            impression_id: id,
+            campaign_id: 7,
+            event,
+            timestamp_us: u64::from(seq) * 3_600_000_000 + id,
+            ad_format: AdFormat::Display,
+            visible_fraction_milli: 500 + 100 * seq,
+            exposure_ms: 1_000 * u32::from(seq + 1),
+            os: OsKind::Android,
+            browser: BrowserKind::Chrome,
+            site_type: SiteType::App,
+            seq,
+        };
+        for id in 1..=3u64 {
+            backend.apply(&beacon(id, EventKind::Measurable, 0));
+            backend.apply(&beacon(id, EventKind::InView, id as u16));
+        }
+        backend.apply(&beacon(2, EventKind::InView, 2)); // duplicate
+        backend.apply(&beacon(99, EventKind::Measurable, 0)); // orphan
+        backend.compact().expect("compact");
+        let bytes = std::fs::read(snapshot_path(&dir, 0)).expect("read snapshot");
+        drop(backend);
+        std::fs::remove_dir_all(&dir).expect("remove test dir");
+        bytes
+    })
+}
+
+/// The body of a snapshot file (between header and trailing CRC).
+fn body(file: &[u8]) -> &[u8] {
+    &file[SNAP_HEADER_LEN..file.len() - 4]
+}
+
+/// A snapshot file with the base header, `body`, and `body`'s CRC —
+/// so a damaged body gets past the checksum and into the decoder.
+fn with_body(body: &[u8]) -> Vec<u8> {
+    let mut file = valid_snapshot()[..SNAP_HEADER_LEN].to_vec();
+    file.extend_from_slice(body);
+    file.extend_from_slice(&crc32(body).to_be_bytes());
+    file
+}
+
+/// Writes `file` as shard 0's snapshot in a fresh directory and loads
+/// it. A refusal must be `InvalidData`, and `DurableBackend::open` over
+/// the same directory must refuse it too.
+fn load_snapshot(file: &[u8]) -> io::Result<ShardSnapshot> {
+    let dir = test_dir("snap");
+    std::fs::write(snapshot_path(&dir, 0), file).expect("write snapshot");
+    let read = read_snapshot(&dir, 0).map(|snap| snap.expect("snapshot file exists"));
+    if let Err(e) = &read {
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        let opened = DurableBackend::open(DurableConfig {
+            dir: dir.clone(),
+            shards: 1,
+            sync: SyncPolicy::NoSync,
+        });
+        assert!(
+            opened.is_err(),
+            "open accepted a snapshot that read_snapshot refused: {e}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("remove test dir");
+    read
+}
+
+/// Every length field of `snap`'s encoded body: its body offset and
+/// the fewest body bytes one counted item takes, walked in the order
+/// the format lays them out (see `crates/store/src/snapshot.rs`).
+fn length_fields(snap: &ShardSnapshot) -> Vec<(usize, usize)> {
+    let mut fields = Vec::new();
+    let mut off = 3 * 8; // orphan, unique, duplicate counters
+    fields.push((off, 16));
+    off += 4 + 16 * snap.served.len();
+    fields.push((off, 22));
+    off += 4;
+    for (_, rec) in &snap.records {
+        off += 8 + 1 + 4 + 8 + 2 + 2 + 4 + 8 + 1; // id, flags … first_measured, seen kind
+        match &rec.seen {
+            SeqSeen::Sparse(seqs) => {
+                fields.push((off, 2));
+                off += 4 + 2 * seqs.len();
+            }
+            SeqSeen::Dense(_) => off += 8 * 1024,
+        }
+    }
+    off += 8; // bucket width
+    let t = &snap.hourly;
+    for (min_item, n) in [
+        (32, t.buckets.len()),
+        (16, t.first_measured.len()),
+        (9, t.viewed.len()),
+    ] {
+        fields.push((off, min_item));
+        off += 4 + min_item * n;
+    }
+    for (_, _, pairs) in [&snap.exposure, &snap.fraction] {
+        off += 16; // count, sum
+        fields.push((off, 12));
+        off += 4 + 12 * pairs.len();
+    }
+    fields
+}
+
+#[test]
+fn valid_snapshot_loads_and_its_length_fields_are_where_the_walk_says() {
+    let snap = load_snapshot(valid_snapshot()).expect("the base snapshot loads");
+    assert_eq!(snap.served.len(), 4);
+    assert_eq!(snap.records.len(), 3);
+    assert!(snap.orphan_beacons > 0 && snap.total_duplicates > 0);
+    assert!(!snap.hourly.buckets.is_empty() && !snap.exposure.2.is_empty());
+    let body = body(valid_snapshot());
+    let fields = length_fields(&snap);
+    assert_eq!(fields.len(), 2 + 3 + 3 + 2);
+    // Each walked offset holds the count the decoder read there.
+    let at = |off: usize| u32::from_be_bytes(body[off..off + 4].try_into().unwrap()) as usize;
+    assert_eq!(at(fields[0].0), snap.served.len());
+    assert_eq!(at(fields[1].0), snap.records.len());
+    assert_eq!(at(fields[fields.len() - 1].0), snap.fraction.2.len());
+}
+
+/// A length field set to `u32::MAX`, or to one item more than the rest
+/// of the body could hold, is refused before anything is allocated by
+/// it.
+#[test]
+fn snapshot_length_fields_past_the_end_are_refused() {
+    let snap = load_snapshot(valid_snapshot()).expect("the base snapshot loads");
+    let base = body(valid_snapshot());
+    for (off, min_item) in length_fields(&snap) {
+        let past_end = (base.len() - off - 4) / min_item + 1;
+        for n in [u32::MAX, past_end as u32] {
+            let mut damaged = base.to_vec();
+            damaged[off..off + 4].copy_from_slice(&n.to_be_bytes());
+            let err = load_snapshot(&with_body(&damaged)).expect_err("length past the end");
+            assert!(
+                err.to_string().contains("length exceeds body"),
+                "offset {off}, n {n}: {err}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// One flipped byte anywhere in the file: only the epoch is outside
+    /// the checksum, so a flip there loads and every other is refused.
+    #[test]
+    fn snapshot_byte_flip_is_refused_unless_in_the_epoch(
+        at in any::<u32>(),
+        flip in 1u8..=255,
+    ) {
+        let mut file = valid_snapshot().to_vec();
+        let pos = at as usize % file.len();
+        file[pos] ^= flip;
+        let loaded = load_snapshot(&file);
+        prop_assert_eq!(loaded.is_ok(), (8..SNAP_HEADER_LEN).contains(&pos), "flip at {}", pos);
+    }
+
+    /// One flipped byte in the body with the checksum recomputed: the
+    /// decoder itself sees the damage and returns a snapshot or
+    /// `InvalidData`.
+    #[test]
+    fn checksummed_snapshot_body_flip_is_loaded_or_refused(
+        at in any::<u32>(),
+        flip in 1u8..=255,
+    ) {
+        let mut damaged = body(valid_snapshot()).to_vec();
+        let pos = at as usize % damaged.len();
+        damaged[pos] ^= flip;
+        let _ = load_snapshot(&with_body(&damaged));
+    }
+
+    /// A file cut short anywhere, and a body cut short with its
+    /// checksum recomputed, are both refused.
+    #[test]
+    fn truncated_snapshot_is_refused(at in any::<u32>()) {
+        let file = valid_snapshot();
+        let cut = at as usize % file.len();
+        prop_assert!(load_snapshot(&file[..cut]).is_err(), "file cut at {}", cut);
+        let base = body(file);
+        let cut = at as usize % base.len();
+        prop_assert!(load_snapshot(&with_body(&base[..cut])).is_err(), "body cut at {}", cut);
+    }
+
+    /// `u32::MAX`, or a count one past the end of the body, written over
+    /// any four body bytes (length field or not), checksum recomputed:
+    /// a snapshot or `InvalidData`, never a panic or an allocation bomb.
+    #[test]
+    fn any_body_word_set_huge_is_loaded_or_refused(at in any::<u32>(), max in any::<bool>()) {
+        let mut damaged = body(valid_snapshot()).to_vec();
+        let off = at as usize % (damaged.len() - 3);
+        let n = if max { u32::MAX } else { (damaged.len() - off - 4 + 1) as u32 };
+        damaged[off..off + 4].copy_from_slice(&n.to_be_bytes());
+        let _ = load_snapshot(&with_body(&damaged));
     }
 }

@@ -59,6 +59,16 @@ mod tests {
         assert!(matches!(decode("{not json"), Err(WireError::Json(_))));
     }
 
+    /// Nesting is capped, so a hostile line is an error and never
+    /// overflows the decoding thread's stack.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        assert!(matches!(
+            decode(&"[".repeat(100_000)),
+            Err(WireError::Json(_))
+        ));
+    }
+
     #[test]
     fn out_of_range_fields_rejected_on_decode() {
         let mut s = encode(&sample()).unwrap();

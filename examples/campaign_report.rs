@@ -2,8 +2,8 @@
 //!
 //! Serves a few hundred impressions of one campaign through the full
 //! pipeline — auction, user session with Q-Tag and the commercial
-//! verifier attached, lossy transport, the multi-threaded ingestion
-//! service — then prints the campaign report a DSP operator would read:
+//! verifier attached, lossy transport, the sharded ingestion service
+//! — then prints the campaign report a DSP operator would read:
 //! measured rate and viewability rate per solution, sliced by site type
 //! and OS.
 //!
@@ -12,14 +12,34 @@
 use qtag::adtech::{AdSlotRequest, Campaign, Dsp, Exchange, ExchangeKind, GeoRegion, Sector};
 use qtag::geometry::Size;
 use qtag::server::{
-    IngestConfig, IngestService, LossyLink, ReportBuilder, ServedImpression, ShardedStore,
+    BeaconInlet, IngestConfig, IngestService, LossyLink, ReportBuilder, ServedImpression,
+    ShardedStore,
 };
 use qtag::user::{Population, PopulationConfig, SessionSim};
-use qtag::wire::SiteType;
+use qtag::wire::framing::FrameEvent;
+use qtag::wire::{FrameDecoder, SiteType};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 const IMPRESSIONS: u32 = 400;
+
+/// Decodes one connection's bytes, as a collector would, and hands the
+/// verified beacons to the ingestion service. Corrupt frames are
+/// dropped, exactly as the collector drops them.
+fn collect(inlet: &BeaconInlet, bytes: &[u8]) {
+    let mut dec = FrameDecoder::new();
+    dec.extend(bytes);
+    let mut events = dec.drain();
+    events.extend(dec.finish());
+    let beacons: Vec<_> = events
+        .into_iter()
+        .filter_map(|ev| match ev {
+            FrameEvent::Beacon(b) => Some(b),
+            FrameEvent::Corrupt(_) => None,
+        })
+        .collect();
+    inlet.send_batch(&beacons);
+}
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -36,12 +56,10 @@ fn main() {
     // ingestion service (as the DSP's collection endpoints would be).
     let qtag_store = ShardedStore::new(1);
     let verifier_store = ShardedStore::new(1);
-    let two_workers = || IngestConfig {
-        workers: 2,
-        ..IngestConfig::default()
-    };
-    let qtag_ingest = IngestService::start_sharded(qtag_store.clone(), two_workers());
-    let verifier_ingest = IngestService::start_sharded(verifier_store.clone(), two_workers());
+    let qtag_ingest = IngestService::start_sharded(qtag_store.clone(), IngestConfig::default());
+    let verifier_ingest =
+        IngestService::start_sharded(verifier_store.clone(), IngestConfig::default());
+    let (qtag_inlet, verifier_inlet) = (qtag_ingest.inlet(), verifier_ingest.inlet());
 
     let sim = SessionSim::default();
     let mut served = 0u32;
@@ -79,10 +97,10 @@ fn main() {
         // Fire-and-forget beacons over a lossy network into the
         // collectors.
         let mut link = LossyLink::new(env.beacon_loss, 0.002, ad.impression_id);
-        qtag_ingest.submit(ad.impression_id, link.transmit(&out.qtag_beacons).unwrap());
-        verifier_ingest.submit(
-            ad.impression_id,
-            link.transmit(&out.verifier_beacons).unwrap(),
+        collect(&qtag_inlet, &link.transmit(&out.qtag_beacons).unwrap());
+        collect(
+            &verifier_inlet,
+            &link.transmit(&out.verifier_beacons).unwrap(),
         );
     }
 

@@ -14,7 +14,8 @@ use qtag::server::{
     ShardedStore,
 };
 use qtag::user::{EnvSample, Population, PopulationConfig, SessionSim};
-use qtag::wire::{AdFormat, EventKind, OsKind, SiteType};
+use qtag::wire::framing::FrameEvent;
+use qtag::wire::{AdFormat, Beacon, EventKind, FrameDecoder, OsKind, SiteType};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -90,7 +91,7 @@ fn one_impression_travels_the_whole_stack() {
         .collect();
     assert!(beacons.iter().any(|b| b.event == EventKind::InView));
 
-    // --- wire + transport + threaded ingestion ---
+    // --- wire + transport + decode + sharded ingestion ---
     let store = ShardedStore::new(1);
     store.record_served(ServedImpression {
         impression_id: ad.impression_id,
@@ -100,15 +101,22 @@ fn one_impression_travels_the_whole_stack() {
         site_type: SiteType::Browser,
         ad_format: ad.format,
     });
-    let service = IngestService::start_sharded(
-        store.clone(),
-        IngestConfig {
-            workers: 2,
-            ..IngestConfig::default()
-        },
-    );
+    let service = IngestService::start_sharded(store.clone(), IngestConfig::default());
     let mut link = LossyLink::lossless();
-    service.submit(ad.impression_id, link.transmit(&beacons).unwrap());
+    let mut dec = FrameDecoder::new();
+    dec.extend(&link.transmit(&beacons).unwrap());
+    let mut events = dec.drain();
+    events.extend(dec.finish());
+    let decoded: Vec<Beacon> = events
+        .into_iter()
+        .map(|ev| match ev {
+            FrameEvent::Beacon(b) => b,
+            FrameEvent::Corrupt(c) => panic!("lossless link corrupted a frame: {c:?}"),
+        })
+        .collect();
+    assert_eq!(decoded, beacons);
+    let outcome = service.inlet().send_batch(&decoded);
+    assert_eq!(outcome.accepted, beacons.len() as u64);
     service.shutdown();
 
     // --- report ---

@@ -10,8 +10,8 @@ use qtag::server::{
     ImpressionStore, IngestConfig, IngestService, LossyLink, ReportBuilder, ServedImpression,
     ShardedStore,
 };
-use qtag::wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
-use std::sync::Arc;
+use qtag::wire::framing::FrameEvent;
+use qtag::wire::{AdFormat, Beacon, BrowserKind, EventKind, FrameDecoder, OsKind, SiteType};
 
 fn served(id: u64) -> ServedImpression {
     ServedImpression {
@@ -57,10 +57,10 @@ fn measured_rate_degrades_gracefully_under_loss() {
                 beacon(id, EventKind::InView, 1),
             ])
             .unwrap();
-        let mut dec = qtag::wire::FrameDecoder::new();
+        let mut dec = FrameDecoder::new();
         dec.extend(&bytes);
         for ev in dec.drain() {
-            if let qtag::wire::framing::FrameEvent::Beacon(b) = ev {
+            if let FrameEvent::Beacon(b) = ev {
                 store.apply(&b);
             }
         }
@@ -74,22 +74,19 @@ fn measured_rate_degrades_gracefully_under_loss() {
     assert!(reports[0].total.viewed <= reports[0].total.measured);
 }
 
-/// A corrupted byte stream interleaved with good frames: the ingestion
-/// service keeps every good beacon and counts the bad frames.
+/// A corrupted byte stream interleaved with good frames: the decoder
+/// counts the bad frames, and the ingestion service keeps every good
+/// beacon.
 #[test]
 fn ingestion_survives_corrupted_interleaved_streams() {
     let store = ShardedStore::new(1);
     for id in 1..=50 {
         store.record_served(served(id));
     }
-    let service = IngestService::start_sharded(
-        store.clone(),
-        IngestConfig {
-            workers: 3,
-            ..IngestConfig::default()
-        },
-    );
+    let service = IngestService::start_sharded(store.clone(), IngestConfig::default());
+    let inlet = service.inlet();
     let mut corrupting = LossyLink::new(0.0, 0.5, 7);
+    let mut corrupt_frames = 0u64;
     for id in 1..=50u64 {
         let bytes = corrupting
             .transmit(&[
@@ -97,19 +94,26 @@ fn ingestion_survives_corrupted_interleaved_streams() {
                 beacon(id, EventKind::Measurable, 1),
             ])
             .unwrap();
-        service.submit(id, bytes);
+        let mut dec = FrameDecoder::new();
+        dec.extend(&bytes);
+        let mut events = dec.drain();
+        events.extend(dec.finish());
+        let mut good = Vec::new();
+        for ev in events {
+            match ev {
+                FrameEvent::Beacon(b) => good.push(b),
+                FrameEvent::Corrupt(_) => corrupt_frames += 1,
+            }
+        }
+        assert_eq!(inlet.send_batch(&good).accepted, good.len() as u64);
     }
-    let stats = Arc::clone(service.stats_arc());
     service.shutdown();
     let reports = ReportBuilder::per_campaign_sharded(&store);
     // With two redundant beacons at 50 % corruption, ~75 % measured.
     let rate = reports[0].total.measured_rate();
     assert!((0.55..=0.92).contains(&rate), "measured rate {rate}");
     assert!(
-        stats
-            .corrupt_frames
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0,
+        corrupt_frames > 0,
         "corruption must be observed and counted"
     );
 }

@@ -236,7 +236,7 @@ proptest! {
 
         let service = IngestService::start_sharded(
             sharded.clone(),
-            IngestConfig { workers: 1, batch, inlet_capacity: 64, metrics: None, journal: None },
+            IngestConfig { inlet_capacity: 64, ..IngestConfig::default() },
         );
         let inlet = service.inlet();
         for chunk in workload.chunks(batch.max(2) * shards) {
@@ -316,11 +316,9 @@ proptest! {
         let service = IngestService::start_sharded(
             backend.store().clone(),
             IngestConfig {
-                workers: 1,
-                batch,
                 inlet_capacity: 64,
-                metrics: None,
                 journal: backend.journal(),
+                ..IngestConfig::default()
             },
         );
         let inlet = service.inlet();
