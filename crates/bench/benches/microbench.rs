@@ -8,6 +8,8 @@
 //! * `wire/*` — beacon codec and framing throughput (the collector's
 //!   hot path), the two checksum kernels, and one WAL beacon encode
 //!   (the shard journal's hot path).
+//! * `store/apply_group_700` — one shard applier's loop without the
+//!   threads: lock the shard, apply a 700-beacon group, journal it.
 //! * `region/*` — compositor occlusion math.
 //!
 //! Ingestion throughput is timed by qbench's `ingest_durable` workload.
@@ -17,6 +19,8 @@ use qtag_core::{AreaEstimator, PixelLayout, QTag, QTagConfig};
 use qtag_dom::{Origin, Page, Screen, Tab, TabId, WindowKind};
 use qtag_geometry::{Rect, Region, Size};
 use qtag_render::{Engine, EngineConfig, SimDuration};
+use qtag_server::ServedImpression;
+use qtag_store::{DurableBackend, DurableConfig, StorageBackend, SyncPolicy};
 use qtag_wire::crc::{crc16, crc32};
 use qtag_wire::{binary, framing, AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
@@ -123,6 +127,73 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shard applier's critical section, timed without the threads or
+/// the 2-core contention of qbench: lock the shard, apply one group of
+/// 700 beacons, hand the group and its outcomes to the journal (a
+/// `NoSync` WAL in a temporary directory). One shard holds 100k
+/// registered impressions, so its table is well past the caches, as
+/// under `ingest_durable`.
+fn bench_store(c: &mut Criterion) {
+    const IMPRESSIONS: u64 = 100_000;
+    const GROUP: usize = 700;
+    let dir = std::env::temp_dir().join(format!("qtag-microbench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (backend, _) = DurableBackend::open(DurableConfig {
+        dir: dir.clone(),
+        shards: 1,
+        sync: SyncPolicy::NoSync,
+    })
+    .expect("open a scratch store");
+    for id in 1..=IMPRESSIONS {
+        backend.record_served(ServedImpression {
+            impression_id: id,
+            campaign_id: 1 + (id % 99) as u32,
+            os: OsKind::Android,
+            browser: BrowserKind::AndroidWebView,
+            site_type: SiteType::App,
+            ad_format: AdFormat::Display,
+        });
+    }
+    let journal = backend.journal().expect("the durable backend journals");
+    let shard = backend.store().shard(0);
+    // Beacon n walks the impressions in a scattered order (48 271 is
+    // coprime to 100k) and carries seq n / 100k, so every beacon of a
+    // run is unique and each impression reports a short lifecycle.
+    let walk = |n: u64| {
+        let seq = (n / IMPRESSIONS) as u16;
+        let mut b = sample_beacon(seq);
+        b.impression_id = 1 + n.wrapping_mul(48_271) % IMPRESSIONS;
+        b.event = match seq {
+            0 => EventKind::TagLoaded,
+            1 => EventKind::Measurable,
+            2 => EventKind::InView,
+            _ => EventKind::Heartbeat,
+        };
+        b.timestamp_us = n * 1_000;
+        b
+    };
+    let mut n = 0u64;
+    let mut batch = Vec::with_capacity(GROUP);
+    let mut outcomes = Vec::with_capacity(GROUP);
+    let mut group = c.benchmark_group("store");
+    group.bench_function("apply_group_700", |b| {
+        b.iter(|| {
+            batch.clear();
+            batch.extend((n..n + GROUP as u64).map(walk));
+            n += GROUP as u64;
+            let mut st = shard.lock();
+            outcomes.clear();
+            outcomes.extend(batch.iter().map(|b| st.apply(b)));
+            journal.append_beacons(0, &batch, &outcomes);
+            outcomes.len()
+        })
+    });
+    group.finish();
+    drop(journal);
+    drop(backend);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_region(c: &mut Criterion) {
     let mut group = c.benchmark_group("region");
     group.bench_function("subtract_16_occluders", |b| {
@@ -169,6 +240,7 @@ criterion_group!(
     benches,
     bench_tag_overhead,
     bench_wire,
+    bench_store,
     bench_region,
     bench_estimator
 );

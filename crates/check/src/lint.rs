@@ -53,6 +53,13 @@
 //!   facade is only worth the indirection if the checker actually
 //!   explores that crate's interleavings on every push — a facade
 //!   without models is unverified surface area.
+//! - **R8 fixed-hasher-keys-justified**: every use of the unkeyed
+//!   `IdMap<`/`IdHasher` needs a `// keys:` comment directly above it
+//!   (or trailing on the line) saying who chooses the keys. Anyone who
+//!   chooses them can choose them to collide, so the fixed hasher is
+//!   only safe where trusted code inserts; the comment makes each map's
+//!   answer reviewable. The defining module (`idmap.rs`) and `use`
+//!   lines are exempt.
 //!
 //! Findings are aggregated to stable keys (`rule|path|detail|count`,
 //! no line numbers, so unrelated edits don't churn the file) and
@@ -147,6 +154,9 @@ const EVENT_LOOP_FILES: &[&str] = &["/reactor.rs", "/connection.rs"];
 /// it (R5): the reader-thread driver sets the socket timeouts its
 /// blocking reads and writes rely on.
 const BLOCKING_DRIVER_FN: &str = "serve_stream";
+
+/// Names of the unkeyed-hasher map and hasher (R8).
+const FIXED_HASHER_TOKENS: &[&str] = &["IdMap<", "IdHasher"];
 
 /// Files whose non-test code is the per-frame render hot path (R6).
 const HOT_PATH_FILES: &[&str] = &["render/src/engine.rs"];
@@ -724,6 +734,46 @@ fn check_r7(root: &Path, out: &mut Vec<Finding>) {
     }
 }
 
+fn check_r8(f: &SourceFile, out: &mut Vec<Finding>) {
+    if f.rel.ends_with("/idmap.rs") {
+        return;
+    }
+    for i in 0..f.test_start {
+        let line = &f.lines[i];
+        let t = line.trim_start();
+        if is_comment_line(line) || t.starts_with("use ") || t.starts_with("pub use ") {
+            continue;
+        }
+        let Some(token) = FIXED_HASHER_TOKENS.iter().find(|tok| line.contains(**tok)) else {
+            continue;
+        };
+        // Justified by a trailing comment, or a `// keys:` line in the
+        // comment block directly above.
+        let mut justified = line.contains("// keys:");
+        let mut k = i;
+        while !justified && k > 0 {
+            k -= 1;
+            let above = f.lines[k].trim();
+            if !above.starts_with("//") {
+                break;
+            }
+            justified = above.contains("// keys:");
+        }
+        if !justified {
+            out.push(Finding {
+                rule: "R8",
+                path: f.rel.clone(),
+                line: i + 1,
+                detail: format!(
+                    "{} without '// keys:' comment: `{}`",
+                    token.trim_end_matches('<'),
+                    t.trim_end()
+                ),
+            });
+        }
+    }
+}
+
 /// Runs all rules over the workspace rooted at `root`.
 pub fn run(root: &Path) -> Vec<Finding> {
     let ws = gather(root);
@@ -735,6 +785,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
         check_r4(f, &mut findings);
         check_r5(f, &mut findings);
         check_r6(f, &mut findings);
+        check_r8(f, &mut findings);
     }
     check_r7(root, &mut findings);
     findings.sort_by(|a, b| {
@@ -1106,6 +1157,50 @@ mod tests {
         run: cargo test -q -p qtag-wire\n";
         let pkgs = qtag_check_sweep_packages(ci);
         assert_eq!(pkgs, vec!["qtag-check", "crossbeam", "qtag-store"]);
+    }
+
+    #[test]
+    fn r8_flags_fixed_hasher_maps_without_a_keys_comment() {
+        let f = SourceFile {
+            rel: "crates/x/src/a.rs".into(),
+            lines: vec![
+                "use crate::idmap::{IdHasher, IdMap};".into(),
+                "struct Index {".into(),
+                "    /// Rows by id.".into(),
+                "    // keys: served ids; the wire only looks up.".into(),
+                "    rows: IdMap<Row>,".into(),
+                "    by_ts: IdMap<u64>,".into(),
+                "    seen: IdMap<bool>, // keys: our own allocator".into(),
+                "}".into(),
+                "fn build() -> BuildHasherDefault<IdHasher> {".into(),
+                "    BuildHasherDefault::default()".into(),
+                "}".into(),
+                "#[cfg(test)]".into(),
+                "fn t() { let m: IdMap<u8> = IdMap::default(); }".into(),
+            ],
+            test_start: 11,
+        };
+        let mut out = Vec::new();
+        check_r8(&f, &mut out);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out.iter().all(|f| f.rule == "R8"));
+        assert_eq!((out[0].line, out[1].line), (6, 9), "{out:?}");
+        assert!(out[0].detail.ends_with("`by_ts: IdMap<u64>,`"), "{out:?}");
+        assert!(out[1].detail.starts_with("IdHasher without"), "{out:?}");
+    }
+
+    #[test]
+    fn r8_exempts_the_defining_module() {
+        let f = SourceFile {
+            rel: "crates/server/src/idmap.rs".into(),
+            lines: vec![
+                "pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;".into(),
+            ],
+            test_start: 1,
+        };
+        let mut out = Vec::new();
+        check_r8(&f, &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

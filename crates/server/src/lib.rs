@@ -34,6 +34,7 @@
 mod anomaly;
 mod billing;
 mod fault;
+mod idmap;
 mod ingest;
 mod report;
 mod shard;

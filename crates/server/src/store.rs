@@ -1,8 +1,9 @@
 //! The impression store: joins the ad server's *served* log with the
 //! beacon stream.
 
+use crate::idmap::IdMap;
 use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// One row of the ad server's serving log: the DSP knows every
 /// impression it delivered, independent of whether any tag later
@@ -164,16 +165,29 @@ pub struct ApplyOutcome {
     pub first_measured_us: u64,
 }
 
+/// One row of the store: a served impression and, once a beacon for it
+/// has been applied, its measurement record.
+#[derive(Debug)]
+struct Slot {
+    served: ServedImpression,
+    record: Option<ImpressionRecord>,
+}
+
 /// In-memory impression store with idempotent beacon application.
 ///
 /// Production would shard this over the DSP's "distributed monitoring
 /// infrastructure" (§5); the interface is the same: `record_served` from
 /// the ad server, `apply` from the collectors, reports from the
 /// analytics layer.
+///
+/// One table holds both halves of the join, so applying a beacon is one
+/// probe: a miss is an orphan and inserts nothing, a hit updates the
+/// row's record in place.
 #[derive(Debug, Default)]
 pub struct ImpressionStore {
-    served: HashMap<u64, ServedImpression>,
-    records: HashMap<u64, ImpressionRecord>,
+    // keys: served impression ids — only `record_served` (the ad
+    // server's log) inserts; beacon ids off the wire only look up.
+    slots: IdMap<Slot>,
     /// Beacons referencing impressions the ad server never logged
     /// (misconfigured tags, replay noise) — kept out of every rate.
     orphan_beacons: u64,
@@ -190,13 +204,24 @@ impl ImpressionStore {
     }
 
     /// Registers a served impression (ad-server log entry).
+    ///
+    /// Registering an id again replaces its served row and keeps its
+    /// measurement record.
     pub fn record_served(&mut self, s: ServedImpression) {
-        self.served.insert(s.impression_id, s);
+        match self.slots.entry(s.impression_id) {
+            Entry::Occupied(mut e) => e.get_mut().served = s,
+            Entry::Vacant(e) => {
+                e.insert(Slot {
+                    served: s,
+                    record: None,
+                });
+            }
+        }
     }
 
     /// Number of served impressions registered.
     pub fn served_count(&self) -> usize {
-        self.served.len()
+        self.slots.len()
     }
 
     /// Beacons that referenced unknown impressions.
@@ -206,12 +231,12 @@ impl ImpressionStore {
 
     /// The served log entry for an impression.
     pub fn served(&self, impression_id: u64) -> Option<&ServedImpression> {
-        self.served.get(&impression_id)
+        self.slots.get(&impression_id).map(|s| &s.served)
     }
 
     /// The measurement record for an impression (if any beacon arrived).
     pub fn record(&self, impression_id: u64) -> Option<&ImpressionRecord> {
-        self.records.get(&impression_id)
+        self.slots.get(&impression_id)?.record.as_ref()
     }
 
     /// Iterates `(served, record)` pairs; `record` is `None` when no
@@ -219,9 +244,7 @@ impl ImpressionStore {
     pub fn iter_joined(
         &self,
     ) -> impl Iterator<Item = (&ServedImpression, Option<&ImpressionRecord>)> {
-        self.served
-            .values()
-            .map(move |s| (s, self.records.get(&s.impression_id)))
+        self.slots.values().map(|s| (&s.served, s.record.as_ref()))
     }
 
     /// Unique beacons applied so far (duplicates excluded). Together
@@ -242,10 +265,8 @@ impl ImpressionStore {
     /// Delivery harnesses use this to audit that a beacon the sender
     /// dropped at the retry cap really never reached an aggregate.
     pub fn contains_seq(&self, impression_id: u64, seq: u16) -> bool {
-        self.records
-            .get(&impression_id)
-            .map(|r| r.seen.contains(seq))
-            .unwrap_or(false)
+        self.record(impression_id)
+            .is_some_and(|r| r.seen.contains(seq))
     }
 
     /// Applies one beacon. Duplicate `(impression, seq)` pairs are
@@ -253,11 +274,11 @@ impl ImpressionStore {
     /// Returns what the apply did (see [`ApplyOutcome`]); callers that
     /// only mutate may drop it.
     pub fn apply(&mut self, beacon: &Beacon) -> ApplyOutcome {
-        if !self.served.contains_key(&beacon.impression_id) {
+        let Some(slot) = self.slots.get_mut(&beacon.impression_id) else {
             self.orphan_beacons += 1;
             return ApplyOutcome::default();
-        }
-        let rec = self.records.entry(beacon.impression_id).or_default();
+        };
+        let rec = slot.record.get_or_insert_with(ImpressionRecord::default);
         if !rec.seen.insert(beacon.seq) {
             rec.duplicates += 1;
             self.total_duplicates += 1;
@@ -308,8 +329,17 @@ impl ImpressionStore {
     /// backend (`qtag-store`) rebuilds a store from persisted records;
     /// the live counters come back separately through
     /// [`ImpressionStore::restore_counters`].
-    pub fn restore_record(&mut self, impression_id: u64, rec: ImpressionRecord) {
-        self.records.insert(impression_id, rec);
+    ///
+    /// Returns `false`, and stores nothing, when `impression_id` is not
+    /// registered: a record only exists beside its served row.
+    pub fn restore_record(&mut self, impression_id: u64, rec: ImpressionRecord) -> bool {
+        match self.slots.get_mut(&impression_id) {
+            Some(slot) => {
+                slot.record = Some(rec);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Restores the store-level counters verbatim (snapshot recovery
@@ -333,7 +363,7 @@ impl ImpressionStore {
     /// met. The paper's rates: measured rate = measured / served,
     /// viewability rate = viewed / measured.
     pub fn verdict(&self, impression_id: u64) -> (bool, bool) {
-        match self.records.get(&impression_id) {
+        match self.record(impression_id) {
             Some(r) => (r.measurable, r.in_view),
             None => (false, false),
         }

@@ -6,36 +6,9 @@
 //! [`Timeline`] folds the beacon stream into fixed-width time buckets
 //! and reports both.
 
+use crate::idmap::IdMap;
 use qtag_wire::{Beacon, EventKind};
 use serde::Serialize;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-shift hasher for u64 impression-id keys. The SipHash
-/// default is DoS-resistant but roughly an order of magnitude slower,
-/// and these maps are keyed by ids the pipeline itself assigns — so
-/// collision resistance buys nothing on the per-beacon fold path,
-/// which the durable backend runs twice per journaled beacon (hourly
-/// and daily rollups) inside the shard's journal critical section.
-#[derive(Default)]
-pub struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-/// `HashMap` keyed by impression id, using [`IdHasher`].
-pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// Counters for one time bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -86,10 +59,18 @@ pub struct Timeline {
     /// journaled beacon in the durable backend's rollups), while
     /// ordered iteration only happens on read — so readers sort the
     /// handful of buckets instead.
+    // keys: bucket indexes of beacon `timestamp_us` off the wire — the
+    // sender chooses them, so crafted timestamps can collide here. A
+    // known open finding, left for a hostile-input fix.
     buckets: IdMap<BucketStats>,
     /// impression → bucket index of its first Measurable.
+    // keys: impression ids off the raw beacon stream, in
+    // `Timeline::record`, which only tests and experiment binaries call
+    // (the durable rollups fold outcomes), and snapshot entries loaded
+    // by `Timeline::from_state`.
     first_measured: IdMap<u64>,
     /// impressions already counted as viewed.
+    // keys: as for `first_measured`.
     viewed: IdMap<bool>,
 }
 

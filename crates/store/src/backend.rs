@@ -280,8 +280,11 @@ impl DurableBackend {
     /// WAL or snapshot header naming another shard than its file, or a
     /// served impression that does not route to the shard holding it —
     /// because loading it would strand verdicts on shards their beacons
-    /// never reach. Every shard is recovered before any file is opened
-    /// for writing, so a refused directory is left as it was found.
+    /// never reach. A snapshot record for an impression the snapshot
+    /// does not register is refused the same way: the store keeps a
+    /// record only beside its served row. Every shard is recovered
+    /// before any file is opened for writing, so a refused directory is
+    /// left as it was found.
     pub fn open(config: DurableConfig) -> io::Result<(DurableBackend, RecoveryReport)> {
         assert!(config.shards >= 1, "shard count must be positive");
         std::fs::create_dir_all(&config.dir)?;
@@ -306,7 +309,14 @@ impl DurableBackend {
                     st.record_served(s);
                 }
                 for (id, rec) in snap.records {
-                    st.restore_record(id, rec);
+                    if !st.restore_record(id, rec) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "shard {shard}: snapshot record for unregistered impression {id}"
+                            ),
+                        ));
+                    }
                 }
                 st.restore_counters(
                     snap.orphan_beacons,

@@ -12,7 +12,8 @@
 //! `shard-000.snap` holds, `read_snapshot` returns a snapshot or an
 //! `InvalidData` error, never panics and never allocates by a length
 //! field the body cannot back; and `DurableBackend::open` refuses every
-//! snapshot `read_snapshot` refuses.
+//! snapshot `read_snapshot` refuses, plus one that decodes but holds a
+//! record for an impression it does not register.
 
 use proptest::prelude::*;
 use qtag_server::{SeqSeen, ServedImpression};
@@ -466,4 +467,50 @@ proptest! {
         damaged[off..off + 4].copy_from_slice(&n.to_be_bytes());
         let _ = load_snapshot(&with_body(&damaged));
     }
+}
+
+/// A snapshot record for an impression the snapshot never registers:
+/// the body decodes, but the store keeps a record only beside its
+/// served row, so `open` refuses the directory with `InvalidData` and
+/// leaves it as it found it.
+#[test]
+fn snapshot_record_for_an_unregistered_impression_is_refused() {
+    let base = body(valid_snapshot());
+    let snap = load_snapshot(valid_snapshot()).expect("the base snapshot loads");
+    let first_record_id = length_fields(&snap)[1].0 + 4;
+    let registered = u64::from_be_bytes(
+        base[first_record_id..first_record_id + 8]
+            .try_into()
+            .unwrap(),
+    );
+    assert!(snap.served.iter().any(|s| s.impression_id == registered));
+    let stranger = 0x0BAD_0000_0000_0001u64;
+    assert!(snap.served.iter().all(|s| s.impression_id != stranger));
+    let mut damaged = base.to_vec();
+    damaged[first_record_id..first_record_id + 8].copy_from_slice(&stranger.to_be_bytes());
+    let file = with_body(&damaged);
+    let decoded = load_snapshot(&file).expect("the body still decodes");
+    assert_eq!(decoded.records[0].0, stranger);
+
+    let dir = test_dir("snap-stranger");
+    std::fs::write(snapshot_path(&dir, 0), &file).expect("write snapshot");
+    let err = DurableBackend::open(DurableConfig {
+        dir: dir.clone(),
+        shards: 1,
+        sync: SyncPolicy::NoSync,
+    })
+    .expect_err("a record without a served row is refused");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("unregistered"), "{err}");
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list test dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    left.sort();
+    assert_eq!(left, vec![std::ffi::OsString::from("shard-000.snap")]);
+    assert_eq!(
+        std::fs::read(snapshot_path(&dir, 0)).expect("read snapshot"),
+        file
+    );
+    std::fs::remove_dir_all(&dir).expect("remove test dir");
 }
