@@ -5,6 +5,9 @@
 //!   higher computational cost without offering significant reductions
 //!   in the theoretical error"): cost of one simulated second of a
 //!   Q-Tag deployment as the monitoring-pixel count grows.
+//! * `render/fleet_sweep/*` — one session-frame of a resident display
+//!   fleet ticked frame-major, at 400 and 5 000 resident sessions: how
+//!   the per-frame cost grows once the fleet no longer fits in cache.
 //! * `wire/*` — beacon codec and framing throughput (the collector's
 //!   hot path), the two checksum kernels, and one WAL beacon encode
 //!   (the shard journal's hot path).
@@ -14,11 +17,12 @@
 //!
 //! Ingestion throughput is timed by qbench's `ingest_durable` workload.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use qtag_bench::fleet::build_fleet;
 use qtag_core::{AreaEstimator, PixelLayout, QTag, QTagConfig};
 use qtag_dom::{Origin, Page, Screen, Tab, TabId, WindowKind};
 use qtag_geometry::{Rect, Region, Size};
-use qtag_render::{Engine, EngineConfig, SimDuration};
+use qtag_render::{Engine, EngineConfig, RenderMode, SimDuration};
 use qtag_server::ServedImpression;
 use qtag_store::{DurableBackend, DurableConfig, StorageBackend, SyncPolicy};
 use qtag_wire::crc::{crc16, crc32};
@@ -64,6 +68,32 @@ fn bench_tag_overhead(c: &mut Criterion) {
                 |mut engine| engine.run_for(SimDuration::from_secs(1)),
                 BatchSize::SmallInput,
             );
+        });
+    }
+    group.finish();
+}
+
+/// A resident fleet (`qtag_bench::fleet`) built once and warmed for 60
+/// frames, then timed 60 frame-major frames per iteration; the
+/// per-element figure is ns per session-frame, sampling frames included.
+fn bench_fleet_sweep(c: &mut Criterion) {
+    const FRAMES: u64 = 60;
+    let mut group = c.benchmark_group("render");
+    for n in [400u64, 5_000] {
+        group.throughput(Throughput::Elements(FRAMES * n));
+        group.bench_with_input(BenchmarkId::new("fleet_sweep", n), &n, |b, &n| {
+            let mut fleet = build_fleet(2019, n, RenderMode::Indexed);
+            let mut frame = 0;
+            let mut sweep = || {
+                for _ in 0..FRAMES {
+                    for s in &mut fleet {
+                        s.tick(frame);
+                    }
+                    frame += 1;
+                }
+            };
+            sweep();
+            b.iter(sweep);
         });
     }
     group.finish();
@@ -239,6 +269,7 @@ fn bench_estimator(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_tag_overhead,
+    bench_fleet_sweep,
     bench_wire,
     bench_store,
     bench_region,

@@ -26,10 +26,14 @@
 //! artefact, grades its own paper shape (exit 1 on drift) and, with
 //! `--json`, adds a machine-readable blob consumed when updating
 //! `EXPERIMENTS.md`. Flags are read through [`ExperimentOutput`].
+//!
+//! [`fleet`] builds the resident display fleet that the fleet
+//! equivalence test and the `render/fleet_sweep` microbench share.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod fleet;
 pub mod output;
 pub mod pipeline;
 pub mod proxy;

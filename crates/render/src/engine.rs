@@ -33,7 +33,25 @@ pub(crate) struct ProbeState {
     pub(crate) tab: Option<TabId>,
     pub(crate) frame: FrameId,
     pub(crate) point: Point,
+    /// The settled paint count; while `lit`, that count minus the host
+    /// page's `painted_frames` (wrapping). Read it through
+    /// [`ProbeState::paints_at`].
     pub(crate) paints: u64,
+    /// The probe sits in its page's visible set, so every paint of the
+    /// page is a paint of the probe. Only [`RenderMode::Indexed`] lights
+    /// probes; the flag lives in padding, keeping the struct at 48 B.
+    pub(crate) lit: bool,
+}
+
+impl ProbeState {
+    /// The probe's paint count, given its host page's `painted_frames`.
+    pub(crate) fn paints_at(&self, painted_frames: u64) -> u64 {
+        if self.lit {
+            self.paints.wrapping_add(painted_frames)
+        } else {
+            self.paints
+        }
+    }
 }
 
 /// A beacon emitted by a script, stamped with sender and send time.
@@ -70,7 +88,10 @@ pub enum RenderMode {
     /// Cache per-page visibility behind DOM mutation epochs. A frame in
     /// which nothing changed validates each page with a single `u64`
     /// compare; a stale one culls the page's cached probe projections
-    /// directly (a tag plants a few dozen probes at most).
+    /// directly (a tag plants a few dozen probes at most). A painted
+    /// frame is one increment of the page's paint counter: each visible
+    /// probe holds its count as an offset against that counter, settled
+    /// back to a plain count whenever the visible set changes.
     Indexed,
 }
 
@@ -134,10 +155,36 @@ struct PageCache {
     /// `(probe index, projected point in root-doc coords)` for every
     /// probe on this page whose projection is not clipped away.
     entries: Vec<(u32, Point)>,
-    /// Probe indices currently inside the viewport.
+    /// Probe indices currently inside the viewport; each of these probes
+    /// is lit, its paint count an offset against `painted_frames`.
     visible: Vec<u32>,
     /// Did this page paint on the current tick?
     painted: bool,
+    /// Frames this page has painted. A painted frame increments this
+    /// once instead of every visible probe's count.
+    painted_frames: u64,
+}
+
+impl PageCache {
+    /// Folds `painted_frames` into every lit probe's count and unlights
+    /// it. Must run before `visible` changes or probe indices shift.
+    fn settle(&self, probes: &mut [ProbeState]) {
+        for &idx in &self.visible {
+            let p = &mut probes[idx as usize];
+            p.paints = p.paints.wrapping_add(self.painted_frames);
+            p.lit = false;
+        }
+    }
+
+    /// Lights every probe in `visible`: from here on its count follows
+    /// `painted_frames`.
+    fn light(&self, probes: &mut [ProbeState]) {
+        for &idx in &self.visible {
+            let p = &mut probes[idx as usize];
+            p.paints = p.paints.wrapping_sub(self.painted_frames);
+            p.lit = true;
+        }
+    }
 }
 
 /// The deterministic browser engine: owns the screen, the clock, all
@@ -203,7 +250,13 @@ impl Engine {
     /// cross-mode equivalence suites and the fleet bench compare these
     /// between [`RenderMode::Naive`] and [`RenderMode::Indexed`] runs.
     pub fn probe_paint_counts(&self) -> Vec<u64> {
-        self.probes.iter().map(|p| p.paints).collect()
+        self.probes
+            .iter()
+            .map(|p| {
+                let page = self.page_of_script[p.owner.0 as usize] as usize;
+                p.paints_at(self.pages[page].painted_frames)
+            })
+            .collect()
     }
 
     /// Engine configuration.
@@ -272,12 +325,15 @@ impl Engine {
         };
         let composite = composite_state(&self.screen, window, tab)?;
         {
+            // The new script's probes start unlit, so no page counter
+            // enters their reads.
             let mut ctx = ScriptCtx {
                 now: self.clock.now(),
                 host: &slot.host,
                 screen: &self.screen,
                 profile: &self.cfg.profile,
                 composite,
+                painted_frames: 0,
                 probes: &mut self.probes,
                 outbox: &mut self.outbox,
                 timer_hz: &mut slot.timer_hz,
@@ -307,6 +363,7 @@ impl Engine {
                     entries: Vec::new(),
                     visible: Vec::new(),
                     painted: false,
+                    painted_frames: 0,
                 });
                 self.pages.len() - 1
             }
@@ -324,6 +381,12 @@ impl Engine {
                 let page_idx = self.page_of_script[id.0 as usize] as usize;
                 self.pages[page_idx].live_scripts -= 1;
             }
+        }
+        // The retain below shifts probe indices, so no probe may stay
+        // lit through it.
+        for cache in self.pages.iter_mut() {
+            cache.settle(&mut self.probes);
+            cache.visible.clear();
         }
         self.probes.retain(|p| p.owner != id);
         // Compaction may have shifted probe indices out from under every
@@ -428,6 +491,7 @@ impl Engine {
                     screen: &self.screen,
                     profile: &self.cfg.profile,
                     composite: state,
+                    painted_frames: 0,
                     probes: &mut self.probes,
                     outbox: &mut self.outbox,
                     timer_hz: &mut slot.timer_hz,
@@ -451,6 +515,7 @@ impl Engine {
                     screen: &self.screen,
                     profile: &self.cfg.profile,
                     composite: state,
+                    painted_frames: 0,
                     probes: &mut self.probes,
                     outbox: &mut self.outbox,
                     timer_hz: &mut slot.timer_hz,
@@ -475,7 +540,7 @@ impl Engine {
         let screen_epoch = self.screen.epoch();
 
         // 1. Per page: validate the cache, settle the paint accumulator,
-        //    credit visible probes.
+        //    count the paint.
         let Engine {
             screen,
             probes,
@@ -513,9 +578,7 @@ impl Engine {
                 false
             };
             if cache.painted {
-                for idx in &cache.visible {
-                    probes[*idx as usize].paints += 1;
-                }
+                cache.painted_frames += 1;
             }
         }
 
@@ -525,7 +588,8 @@ impl Engine {
         for (i, slot_opt) in scripts.iter_mut().enumerate() {
             let Some(slot) = slot_opt else { continue };
             let cache = &self.pages[self.page_of_script[i] as usize];
-            let (state, painted) = (cache.state, cache.painted);
+            let (state, painted, painted_frames) =
+                (cache.state, cache.painted, cache.painted_frames);
 
             // requestAnimationFrame
             if painted && self.cfg.profile.caps.animation_frames {
@@ -535,6 +599,7 @@ impl Engine {
                     screen: &self.screen,
                     profile: &self.cfg.profile,
                     composite: state,
+                    painted_frames,
                     probes: &mut self.probes,
                     outbox: &mut self.outbox,
                     timer_hz: &mut slot.timer_hz,
@@ -558,6 +623,7 @@ impl Engine {
                     screen: &self.screen,
                     profile: &self.cfg.profile,
                     composite: state,
+                    painted_frames,
                     probes: &mut self.probes,
                     outbox: &mut self.outbox,
                     timer_hz: &mut slot.timer_hz,
@@ -575,16 +641,18 @@ impl Engine {
     /// rebuild only when the page's *layout* epoch moved or the probe
     /// table itself changed; the visible set is always re-culled from the
     /// projections — a few dozen exact point tests cost less than the
-    /// bookkeeping that would prove them unnecessary.
+    /// bookkeeping that would prove them unnecessary. The old visible set
+    /// is settled first and the new one lit last.
     fn revalidate_page(
         screen: &Screen,
-        probes: &[ProbeState],
+        probes: &mut [ProbeState],
         cache: &mut PageCache,
         occ_scratch: &mut Vec<Rect>,
         screen_epoch: u64,
         probe_generation: u64,
         probes_stale: bool,
     ) {
+        cache.settle(probes);
         cache.state = composite_state_with(screen, cache.window, cache.tab, occ_scratch)
             .unwrap_or(CompositeState::Minimized);
         cache.screen_epoch = screen_epoch;
@@ -635,6 +703,7 @@ impl Engine {
             }
         }
         cull_projected_points(&cache.entries, root_scroll, vp, &mut cache.visible);
+        cache.light(probes);
     }
 
     /// Runs the engine for (at least) the given simulated duration.
@@ -706,6 +775,7 @@ impl Engine {
                 screen: &self.screen,
                 profile: &self.cfg.profile,
                 composite: state,
+                painted_frames: self.pages[self.page_of_script[*i] as usize].painted_frames,
                 probes: &mut self.probes,
                 outbox: &mut self.outbox,
                 timer_hz: &mut slot.timer_hz,
@@ -723,6 +793,8 @@ mod tests {
     use qtag_dom::{Origin, Page, Tab, WindowKind};
     use qtag_geometry::{Rect, Size};
     use qtag_wire::{AdFormat, BrowserKind, EventKind, OsKind, SiteType};
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     /// A minimal script that counts its callbacks and samples one probe.
     struct CounterScript {
@@ -808,7 +880,7 @@ mod tests {
             .unwrap();
         engine.run_for(SimDuration::from_secs(1));
         // 60 fps for 1 s → ~60 paints.
-        let paints = engine.probes[0].paints;
+        let paints = engine.probe_paint_counts()[0];
         assert!(
             (58..=62).contains(&paints),
             "expected ~60 paints, got {paints}"
@@ -835,7 +907,7 @@ mod tests {
             .scroll_page_to(w, Some(TabId(0)), Vector::new(0.0, 2000.0))
             .unwrap();
         engine.run_for(SimDuration::from_secs(1));
-        assert_eq!(engine.probes[0].paints, 0);
+        assert_eq!(engine.probe_paint_counts()[0], 0);
     }
 
     #[test]
@@ -867,7 +939,7 @@ mod tests {
             .unwrap();
         engine.run_for(SimDuration::from_secs(2));
         // No rAF, no paints; timers ≈ 2 fires in 2 s.
-        assert_eq!(engine.probes[0].paints, 0);
+        assert_eq!(engine.probe_paint_counts()[0], 0);
         let beacons = engine.drain_outbox();
         let timer_fires = beacons.len() as u64;
         assert!(
@@ -912,7 +984,7 @@ mod tests {
             )
             .unwrap();
         engine.run_for(SimDuration::from_secs(1));
-        let paints = engine.probes[0].paints;
+        let paints = engine.probe_paint_counts()[0];
         assert!(
             (28..=32).contains(&paints),
             "expected ~30 paints at 50 % load, got {paints}"
@@ -936,6 +1008,142 @@ mod tests {
         engine.detach_script(sid);
         assert!(engine.probes.is_empty());
         engine.run_for(SimDuration::from_millis(100)); // must not panic
+    }
+
+    #[test]
+    fn probe_state_stays_48_bytes() {
+        assert!(std::mem::size_of::<ProbeState>() <= 48);
+    }
+
+    /// Logs every paint reading its callbacks take. `shift` is how far
+    /// its probes' indices have moved down the probe table (a detach of
+    /// an earlier script compacts it).
+    struct ReadingScript {
+        points: Vec<Point>,
+        probes: Vec<ProbeId>,
+        shift: Rc<Cell<u32>>,
+        log: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl ReadingScript {
+        fn read_all(&self, ctx: &ScriptCtx<'_>) {
+            let mut log = self.log.borrow_mut();
+            for p in &self.probes {
+                log.push(ctx.probe_paints(ProbeId(p.0 - self.shift.get())));
+            }
+        }
+    }
+
+    impl TagScript for ReadingScript {
+        fn on_attach(&mut self, ctx: &mut ScriptCtx<'_>) {
+            for p in &self.points {
+                self.probes.push(ctx.create_probe(*p));
+            }
+            ctx.set_timer_hz(10.0);
+        }
+        fn on_animation_frame(&mut self, ctx: &mut ScriptCtx<'_>) {
+            self.read_all(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut ScriptCtx<'_>) {
+            self.read_all(ctx);
+        }
+        fn on_click(&mut self, ctx: &mut ScriptCtx<'_>) {
+            self.read_all(ctx);
+        }
+    }
+
+    /// Two scripts share one visible page and the *first* is detached
+    /// mid-run, so every surviving probe shifts down the table while lit.
+    /// Paint counts and the survivor's own readings must match the naive
+    /// walk after every tick.
+    #[test]
+    fn detaching_the_first_script_keeps_lit_survivors_exact() {
+        let run = |mode: RenderMode| {
+            let (mut engine, w, ad) = engine_with_ad_in_view();
+            engine.cfg.mode = mode;
+            engine.cfg.cpu = CpuLoadModel::Noisy {
+                base: 0.3,
+                amplitude: 0.3,
+            };
+            let shift = Rc::new(Cell::new(0));
+            let first_log = Rc::default();
+            let survivor_log = Rc::default();
+            let script = |points: &[(f64, f64)], shift, log| {
+                Box::new(ReadingScript {
+                    points: points.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+                    probes: Vec::new(),
+                    shift,
+                    log,
+                })
+            };
+            let tab = Some(TabId(0));
+            let origin = Origin::https("dsp.example");
+            let first = engine
+                .attach_script(
+                    w,
+                    tab,
+                    ad,
+                    origin.clone(),
+                    script(
+                        &[(10.0, 10.0), (150.0, 125.0), (290.0, 240.0)],
+                        Rc::default(),
+                        Rc::clone(&first_log),
+                    ),
+                )
+                .unwrap();
+            engine
+                .attach_script(
+                    w,
+                    tab,
+                    ad,
+                    origin,
+                    script(
+                        &[(20.0, 200.0), (280.0, 20.0), (150.0, 60.0), (5.0, 245.0)],
+                        Rc::clone(&shift),
+                        Rc::clone(&survivor_log),
+                    ),
+                )
+                .unwrap();
+            let mut trace = Vec::new();
+            for frame in 0..240u32 {
+                match frame {
+                    // Half the probes leave the viewport, then return.
+                    40 | 170 => {
+                        let y = if frame == 40 { 200.0 } else { 0.0 };
+                        engine.scroll_page_to(w, tab, Vector::new(0.0, y)).unwrap();
+                    }
+                    90 => {
+                        engine.detach_script(first);
+                        shift.set(3);
+                    }
+                    // Both scripts, then the survivor alone, read on click.
+                    60 | 120 => {
+                        let receivers = engine.click_at(w, tab, Point::new(350.0, 120.0));
+                        assert_eq!(receivers, Ok(if frame == 60 { 2 } else { 1 }));
+                    }
+                    _ => {}
+                }
+                engine.tick();
+                trace.push((
+                    engine.probe_paint_counts(),
+                    first_log.borrow().clone(),
+                    survivor_log.borrow().clone(),
+                ));
+            }
+            trace
+        };
+        let naive = run(RenderMode::Naive);
+        let indexed = run(RenderMode::Indexed);
+        assert_eq!(naive.len(), indexed.len());
+        for (frame, (n, i)) in naive.iter().zip(&indexed).enumerate() {
+            assert_eq!(n, i, "divergence after tick {frame}");
+        }
+        let (last_counts, _, survivor) = indexed.last().unwrap();
+        // The survivor's probes alone remain, and the run did paint and
+        // read them.
+        assert_eq!(last_counts.len(), 4);
+        assert!(last_counts.iter().all(|&c| c > 0), "{last_counts:?}");
+        assert!(survivor.len() > 100);
     }
 
     #[test]
@@ -963,7 +1171,7 @@ mod tests {
                 )
                 .unwrap();
             engine.run_for(SimDuration::from_secs(1));
-            (engine.probes[0].paints, engine.drain_outbox().len())
+            (engine.probe_paint_counts()[0], engine.drain_outbox().len())
         };
         assert_eq!(run(), run());
     }

@@ -71,6 +71,9 @@ pub struct ScriptCtx<'a> {
     pub(crate) screen: &'a Screen,
     pub(crate) profile: &'a DeviceProfile,
     pub(crate) composite: CompositeState,
+    /// The host page's paint counter, against which the script's lit
+    /// probes hold their counts.
+    pub(crate) painted_frames: u64,
     pub(crate) probes: &'a mut Vec<ProbeState>,
     pub(crate) outbox: &'a mut Vec<(ScriptId, SimTime, Beacon)>,
     pub(crate) timer_hz: &'a mut f64,
@@ -110,9 +113,10 @@ impl<'a> ScriptCtx<'a> {
     }
 
     /// Plants a 1×1 monitoring pixel at `point` (own-frame document
-    /// coordinates) and returns its handle. The engine increments the
-    /// pixel's paint counter on every composited frame in which the pixel
-    /// lands inside the viewport — the repaint side channel of §3.
+    /// coordinates) and returns its handle. The pixel's paint count grows
+    /// by one on every composited frame in which the pixel lands inside
+    /// the viewport — the repaint side channel of §3. (The indexed engine
+    /// counts paints per page and derives the pixel's count on read.)
     pub fn create_probe(&mut self, point: Point) -> ProbeId {
         let id = ProbeId(self.probes.len() as u32);
         self.probes.push(ProbeState {
@@ -122,6 +126,7 @@ impl<'a> ScriptCtx<'a> {
             frame: self.host.frame,
             point,
             paints: 0,
+            lit: false,
         });
         id
     }
@@ -134,7 +139,7 @@ impl<'a> ScriptCtx<'a> {
     pub fn probe_paints(&self, probe: ProbeId) -> u64 {
         let p = &self.probes[probe.0 as usize];
         assert_eq!(p.owner, self.host.id, "probe belongs to another script");
-        p.paints
+        p.paints_at(self.painted_frames)
     }
 
     /// Requests the timer callback rate (Hz). The engine clamps hidden

@@ -8,7 +8,9 @@
 //! **bit-identical** observable output in both [`RenderMode`]s: the
 //! same frame count, the same per-probe paint counters, the same
 //! beacon stream, the same composite states and ground-truth
-//! visibility fractions.
+//! visibility fractions. A second property hosts a script on each of
+//! the window's two tabs, so a paint count read against the wrong
+//! page's counter shows up.
 
 use proptest::prelude::*;
 use qtag_dom::{Element, ElementKind, FrameId, Origin, Page, Screen, Tab, TabId, WindowKind};
@@ -36,6 +38,25 @@ struct FleetScript {
     /// state into the beacon, so playback is part of the bit-identical
     /// equivalence contract.
     player: Option<VideoPlayer>,
+    /// Report the paint sum read inside `on_click` too.
+    beacon_on_click: bool,
+}
+
+impl FleetScript {
+    fn new(points: Vec<Point>, late_point: Option<Point>) -> Self {
+        FleetScript {
+            points,
+            late_point,
+            probes: Vec::new(),
+            timer_fires: 0,
+            player: None,
+            beacon_on_click: false,
+        }
+    }
+
+    fn paint_sum(&self, ctx: &ScriptCtx<'_>) -> u64 {
+        self.probes.iter().map(|p| ctx.probe_paints(*p)).sum()
+    }
 }
 
 impl TagScript for FleetScript {
@@ -54,7 +75,7 @@ impl TagScript for FleetScript {
                 self.probes.push(ctx.create_probe(p));
             }
         }
-        let paints: u64 = self.probes.iter().map(|p| ctx.probe_paints(*p)).sum();
+        let paints = self.paint_sum(ctx);
         let (pos_ms, state_code) = match self.player.as_mut() {
             Some(p) => {
                 p.advance_to(ctx.now());
@@ -85,6 +106,24 @@ impl TagScript for FleetScript {
             browser: BrowserKind::Chrome,
             site_type: SiteType::Browser,
             seq: (self.timer_fires % u32::from(u16::MAX)) as u16,
+        });
+    }
+    fn on_click(&mut self, ctx: &mut ScriptCtx<'_>) {
+        if !self.beacon_on_click {
+            return;
+        }
+        ctx.send_beacon(Beacon {
+            impression_id: self.paint_sum(ctx),
+            campaign_id: self.timer_fires,
+            event: EventKind::Click,
+            timestamp_us: ctx.now().as_micros(),
+            ad_format: AdFormat::Display,
+            visible_fraction_milli: 0,
+            exposure_ms: 0,
+            os: OsKind::Windows10,
+            browser: BrowserKind::Chrome,
+            site_type: SiteType::Browser,
+            seq: 0,
         });
     }
 }
@@ -154,6 +193,11 @@ enum Op {
     AddPageOverlay(f64, f64, f64, f64, i32),
     DetachLastScript,
     Click(f64, f64),
+    /// Scroll the second tab's page (which hosts a script of its own
+    /// only in the two-page property).
+    ScrollOther(f64),
+    /// Click into the second tab's page.
+    ClickOther(f64, f64),
 }
 
 struct Handles {
@@ -166,6 +210,12 @@ struct Handles {
 }
 
 fn build(spec: &SceneSpec, mode: RenderMode) -> (Engine, Handles) {
+    build_with(spec, mode, false)
+}
+
+/// Builds the scene; with `other_tab_script`, the second tab's page is
+/// taller and hosts a script of its own, attached last.
+fn build_with(spec: &SceneSpec, mode: RenderMode, other_tab_script: bool) -> (Engine, Handles) {
     let mut page = Page::new(
         Origin::https("pub.example"),
         Size::new(1280.0, spec.doc_height),
@@ -191,7 +241,12 @@ fn build(spec: &SceneSpec, mode: RenderMode) -> (Engine, Handles) {
     )
     .unwrap();
 
-    let other = Page::new(Origin::https("other.example"), Size::new(1280.0, 900.0));
+    let other_height = if other_tab_script { 3000.0 } else { 900.0 };
+    let other = Page::new(
+        Origin::https("other.example"),
+        Size::new(1280.0, other_height),
+    );
+    let other_root = other.root();
     let mut screen = Screen::desktop();
     let w = screen.add_window(
         WindowKind::Browser {
@@ -231,16 +286,18 @@ fn build(spec: &SceneSpec, mode: RenderMode) -> (Engine, Handles) {
                 dsp,
                 Origin::https("dsp.example"),
                 Box::new(FleetScript {
-                    points: points.clone(),
-                    // ProbeIds are indices into the engine's probe table,
-                    // and detach compacts that table — so a mid-run probe
-                    // is only safe when no later-attached script can be
-                    // detached out from under it.
-                    late_point: (spec.late_probe && !spec.root_script)
-                        .then_some(Point::new(10.0, 10.0)),
-                    probes: Vec::new(),
-                    timer_fires: 0,
                     player: player_from(spec),
+                    beacon_on_click: other_tab_script,
+                    ..FleetScript::new(
+                        points.clone(),
+                        // ProbeIds are indices into the engine's probe
+                        // table, and detach compacts that table — so a
+                        // mid-run probe is only safe when no
+                        // later-attached script can be detached out from
+                        // under it.
+                        (spec.late_probe && !spec.root_script && !other_tab_script)
+                            .then_some(Point::new(10.0, 10.0)),
+                    )
                 }),
             )
             .unwrap(),
@@ -254,11 +311,30 @@ fn build(spec: &SceneSpec, mode: RenderMode) -> (Engine, Handles) {
                     ssp,
                     Origin::https("ssp.example"),
                     Box::new(FleetScript {
-                        points,
-                        late_point: None,
-                        probes: Vec::new(),
-                        timer_fires: 0,
-                        player: None,
+                        beacon_on_click: other_tab_script,
+                        ..FleetScript::new(points.clone(), None)
+                    }),
+                )
+                .unwrap(),
+        );
+    }
+    if other_tab_script {
+        // Spread down the taller page, so scrolling it moves some of the
+        // probes out of the viewport and leaves others in.
+        let spread = points.iter().map(|p| Point::new(p.x, p.y * 4.0)).collect();
+        scripts.push(
+            engine
+                .attach_script(
+                    w,
+                    Some(TabId(1)),
+                    other_root,
+                    Origin::https("other.example"),
+                    Box::new(FleetScript {
+                        beacon_on_click: true,
+                        ..FleetScript::new(
+                            spread,
+                            spec.late_probe.then_some(Point::new(30.0, 30.0)),
+                        )
                     }),
                 )
                 .unwrap(),
@@ -364,6 +440,15 @@ fn apply(engine: &mut Engine, h: &Handles, op: &Op) -> u64 {
                 .map(|n| n as u64)
                 .unwrap_or(u64::MAX);
         }
+        Op::ScrollOther(y) => {
+            let _ = engine.scroll_page_to(h.w, Some(TabId(1)), Vector::new(0.0, *y));
+        }
+        Op::ClickOther(x, y) => {
+            return engine
+                .click_at(h.w, Some(TabId(1)), Point::new(*x, *y))
+                .map(|n| n as u64)
+                .unwrap_or(u64::MAX);
+        }
     }
     0
 }
@@ -401,6 +486,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(x, y, w, h, z)| Op::AddPageOverlay(x, y, w, h, z)),
         Just(Op::DetachLastScript),
         (0.0f64..1300.0, 0.0f64..900.0).prop_map(|(x, y)| Op::Click(x, y)),
+    ]
+}
+
+/// [`op_strategy`] plus the second tab's ops, with ticks and tab
+/// switches listed again so both hosting pages paint between reads.
+fn two_page_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        op_strategy(),
+        op_strategy(),
+        (1u16..40).prop_map(Op::Tick),
+        (1u16..40).prop_map(Op::Tick),
+        any::<bool>().prop_map(Op::SwitchTab),
+        (0.0f64..2500.0).prop_map(Op::ScrollOther),
+        (0.0f64..1300.0, 0.0f64..900.0).prop_map(|(x, y)| Op::ClickOther(x, y)),
     ]
 }
 
@@ -500,5 +599,44 @@ proptest! {
         // The full beacon streams, byte for byte.
         prop_assert_eq!(naive.drain_outbox(), indexed.drain_outbox());
         let _ = (hn.ssp, hi.ssp);
+    }
+
+    /// Scripts on both tabs: each hosting page keeps its own paint
+    /// counter, and every probe's count, every in-callback reading and
+    /// the beacon stream must match the naive walk after every op.
+    #[test]
+    fn two_hosting_pages_match_naive_walk(
+        spec in scene_strategy(),
+        ops in prop::collection::vec(two_page_op_strategy(), 1..32),
+    ) {
+        let (mut naive, hn) = build_with(&spec, RenderMode::Naive, true);
+        let (mut indexed, hi) = build_with(&spec, RenderMode::Indexed, true);
+        prop_assert_eq!(&hn.scripts, &hi.scripts);
+
+        for (step, op) in ops.iter().enumerate() {
+            let rn = apply(&mut naive, &hn, op);
+            let ri = apply(&mut indexed, &hi, op);
+            prop_assert_eq!(rn, ri, "click receiver divergence at step {} ({:?})", step, op);
+            for tab in [TabId(0), TabId(1)] {
+                let sn = composite_state(naive.screen(), hn.w, Some(tab)).unwrap();
+                let si = composite_state(indexed.screen(), hi.w, Some(tab)).unwrap();
+                prop_assert_eq!(sn, si, "composite divergence at step {} ({:?})", step, op);
+            }
+            prop_assert_eq!(
+                naive.probe_paint_counts(),
+                indexed.probe_paint_counts(),
+                "paint divergence at step {} ({:?})",
+                step,
+                op
+            );
+            prop_assert_eq!(
+                naive.drain_outbox(),
+                indexed.drain_outbox(),
+                "beacon divergence at step {} ({:?})",
+                step,
+                op
+            );
+        }
+        prop_assert_eq!(naive.frames_ticked(), indexed.frames_ticked());
     }
 }
