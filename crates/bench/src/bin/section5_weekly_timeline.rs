@@ -4,8 +4,10 @@
 //!
 //! Impressions arrive over a simulated week following a diurnal traffic
 //! curve; each runs the full session with Q-Tag, beacons are stamped
-//! with the impression's wall-clock arrival time and folded into the
-//! monitoring backend's [`Timeline`]. The output is the hourly/daily
+//! with the impression's wall-clock arrival time, applied to an
+//! in-memory impression store, and folded by its apply outcome into
+//! the monitoring backend's hourly [`Timeline`] (daily is
+//! `coarsen(24)` of it). The output is the hourly/daily
 //! trend dashboard a DSP would watch: volume waves with a stable
 //! viewability rate riding on top.
 //!
@@ -18,12 +20,12 @@
 //! recovered from the WAL (a mid-run restart), and at the end the
 //! published timeline is read from a *recovered* backend's merged
 //! rollups — which must be bit-identical to the uninterrupted
-//! in-memory timelines, or the run fails its shape checks.
+//! in-memory timelines, or the run fails its shape checks (exit 1).
 
 use qtag_adtech::{CampaignId, ServedAd};
 use qtag_bench::{format_pct, ExperimentOutput};
 use qtag_geometry::Size;
-use qtag_server::{ServedImpression, Timeline};
+use qtag_server::{ImpressionStore, ServedImpression, Timeline};
 use qtag_store::{DurableBackend, DurableConfig, StorageBackend, SyncPolicy};
 use qtag_user::{Population, PopulationConfig, SessionSim, TrafficPattern};
 use qtag_wire::AdFormat;
@@ -59,8 +61,8 @@ fn main() {
     let sim = SessionSim::default();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
+    let mut store = ImpressionStore::new();
     let mut hourly = Timeline::hourly();
-    let mut daily = Timeline::daily();
     let mut per_day_volume = [0u64; 7];
 
     eprintln!("simulating {total} impressions over one week …");
@@ -93,30 +95,34 @@ fn main() {
             paid_cpm_milli: 800,
         };
         let outcome = sim.run(&ad, &env, seed ^ (i * 2_654_435_761));
-        // Durable mode journals the serve too: the store joins beacons
-        // against the served log, and the rollup folds are gated by
-        // that join (an unregistered impression is an orphan and
-        // cannot enter the measured/viewed cohorts).
-        if let (Some(b), Some(first)) = (&backend, outcome.qtag_beacons.first()) {
-            b.record_served(ServedImpression {
+        // Register the serve: the store joins beacons against the
+        // served log, and the timeline folds are gated by that join
+        // (an unregistered impression is an orphan and cannot enter
+        // the measured/viewed cohorts). Durable mode journals it too.
+        if let Some(first) = outcome.qtag_beacons.first() {
+            let served = ServedImpression {
                 impression_id: first.impression_id,
                 campaign_id: first.campaign_id,
                 os: first.os,
                 browser: first.browser,
                 site_type: first.site_type,
                 ad_format: first.ad_format,
-            });
+            };
+            if let Some(b) = &backend {
+                b.record_served(served.clone());
+            }
+            store.record_served(served);
         }
         for mut beacon in outcome.qtag_beacons {
             // Session-relative time → wall-clock time of the week.
             beacon.timestamp_us += arrival.as_micros();
-            hourly.record(&beacon);
-            daily.record(&beacon);
+            hourly.record_outcome(&beacon, &store.apply(&beacon));
             if let Some(b) = &backend {
                 b.apply(&beacon);
             }
         }
     }
+    let daily = hourly.coarsen(24);
 
     // Durable mode: restart once more at the end, then serve the
     // published timeline from the RECOVERED backend's merged rollups.
@@ -132,12 +138,8 @@ fn main() {
             "final recovery: {} records replayed, {} snapshots loaded",
             report.records_replayed, report.snapshots_loaded
         );
-        // Compare the published buckets: the rollup timelines are
-        // outcome-driven (per-impression dedup lives in the store, not
-        // in cohort maps of their own), so bucket stats — the thing a
-        // report serves — are the surface that must not move.
-        recovered.merged_hourly().export_state().buckets == hourly.export_state().buckets
-            && recovered.merged_daily().export_state().buckets == daily.export_state().buckets
+        recovered.merged_hourly().export_state() == hourly.export_state()
+            && recovered.merged_daily().export_state() == daily.export_state()
     });
 
     out.section("§5 weekly monitoring — daily volume and viewability (Q-Tag)");

@@ -50,7 +50,7 @@
 //! drain — availability-first, like the rest of the pipeline.
 
 use crate::record::{encode_ack, encode_beacon, encode_served};
-use crate::rollup::ShardRollup;
+use crate::rollup::{ShardRollup, HOURS_PER_DAY};
 use crate::snapshot::{read_snapshot, write_snapshot, ShardSnapshot};
 use crate::sync::atomic::Ordering;
 use crate::sync::{Arc, Mutex};
@@ -433,29 +433,19 @@ impl DurableBackend {
     /// timeline fed every journaled beacon (per-shard impression
     /// disjointness; see `tests/sharded_equivalence.rs`).
     pub fn merged_hourly(&self) -> Timeline {
-        self.merged_timeline(|r| &r.hourly)
+        let mut it = self.inner.journals.iter();
+        let first = it.next().expect("at least one shard");
+        let mut merged = first.lock().rollup.hourly.clone();
+        for j in it {
+            merged.merge(&j.lock().rollup.hourly);
+        }
+        merged
     }
 
     /// Daily rollup timeline merged across shards, derived exactly
-    /// from the hourly buckets (see [`Timeline::coarsen`]).
+    /// from the merged hourly buckets (see [`Timeline::coarsen`]).
     pub fn merged_daily(&self) -> Timeline {
-        let mut it = self.inner.journals.iter();
-        let first = it.next().expect("at least one shard");
-        let mut merged = first.lock().rollup.daily();
-        for j in it {
-            merged.merge(&j.lock().rollup.daily());
-        }
-        merged
-    }
-
-    fn merged_timeline(&self, pick: impl Fn(&ShardRollup) -> &Timeline) -> Timeline {
-        let mut it = self.inner.journals.iter();
-        let first = it.next().expect("at least one shard");
-        let mut merged = Timeline::from_state(pick(&first.lock().rollup).export_state());
-        for j in it {
-            merged.merge(pick(&j.lock().rollup));
-        }
-        merged
+        self.merged_hourly().coarsen(HOURS_PER_DAY)
     }
 
     /// Exposure-duration histogram (ms) merged across shards.

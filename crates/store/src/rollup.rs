@@ -10,18 +10,15 @@
 //!
 //! The fold is **outcome-driven**: the store's [`ApplyOutcome`] says
 //! whether the beacon crossed the measurable/viewed boundary, so the
-//! rollup touches only bucket counters and never keeps per-impression
-//! cohort maps of its own. That keeps the journal critical section —
-//! which the durable backend runs for every beacon — free of
-//! per-impression hash lookups; dedup state lives in the store once.
+//! rollup touches only bucket counters. Dedup state lives in the store
+//! once; a timeline is its bucket counters and nothing else.
 //!
 //! The rollup rides the shard's journal critical section, so its
 //! contents correspond exactly to the journaled record prefix:
 //! replaying a WAL through a fresh store and folding the replay
 //! outcomes reproduces the live rollup bit for bit, and merging
 //! per-shard rollups on read is bit-identical to one rollup fed the
-//! combined stream (the `Timeline::merge` / `HistogramSnapshot::merge`
-//! properties the sharded layer already proves).
+//! combined stream (bucket counters and histogram buckets are sums).
 
 use qtag_obs::{bucket_index, HistogramSnapshot};
 use qtag_server::{ApplyOutcome, Timeline, TimelineState};
@@ -30,7 +27,7 @@ use qtag_wire::Beacon;
 use crate::snapshot::SparseHist;
 
 /// Hourly buckets per daily bucket.
-const HOURS_PER_DAY: u64 = 24;
+pub(crate) const HOURS_PER_DAY: u64 = 24;
 
 /// One shard's rollup aggregates. Not internally synchronized — lives
 /// inside the shard's journal lock.
@@ -114,8 +111,77 @@ impl ShardRollup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qtag_server::{ImpressionStore, ServedImpression};
+    use qtag_server::{BucketStats, ImpressionStore, ServedImpression};
     use qtag_wire::{AdFormat, BrowserKind, EventKind, OsKind, SiteType};
+    use std::collections::{BTreeMap, HashMap, HashSet};
+
+    /// The raw-stream fold: de-duplicates the beacon stream with
+    /// per-impression maps of its own instead of trusting the store's
+    /// outcomes. The reference the outcome fold must match on clean
+    /// streams.
+    struct RawTimeline {
+        bucket_us: u64,
+        buckets: BTreeMap<u64, BucketStats>,
+        /// impression → bucket index of its first Measurable.
+        first_measured: HashMap<u64, u64>,
+        /// impressions already counted as viewed.
+        viewed: HashSet<u64>,
+    }
+
+    impl RawTimeline {
+        fn new(bucket_us: u64) -> Self {
+            RawTimeline {
+                bucket_us,
+                buckets: BTreeMap::new(),
+                first_measured: HashMap::new(),
+                viewed: HashSet::new(),
+            }
+        }
+
+        fn record(&mut self, beacon: &Beacon) {
+            let bucket = beacon.timestamp_us / self.bucket_us;
+            self.buckets.entry(bucket).or_default().beacons += 1;
+            match beacon.event {
+                EventKind::Measurable => {
+                    if let std::collections::hash_map::Entry::Vacant(e) =
+                        self.first_measured.entry(beacon.impression_id)
+                    {
+                        e.insert(bucket);
+                        self.buckets.entry(bucket).or_default().measured += 1;
+                    }
+                }
+                EventKind::InView => {
+                    // In-view implies measurable even when the
+                    // Measurable beacon was lost; in that case this
+                    // bucket becomes the impression's measured cohort.
+                    let mut newly_measured = false;
+                    let first = *self
+                        .first_measured
+                        .entry(beacon.impression_id)
+                        .or_insert_with(|| {
+                            newly_measured = true;
+                            bucket
+                        });
+                    if newly_measured {
+                        self.buckets.entry(first).or_default().measured += 1;
+                    }
+                    if self.viewed.insert(beacon.impression_id) {
+                        // Attribute the view to the impression's first
+                        // measured bucket so rates stay per-cohort.
+                        self.buckets.entry(first).or_default().viewed += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        fn state(&self) -> TimelineState {
+            TimelineState {
+                bucket_us: self.bucket_us,
+                buckets: self.buckets.iter().map(|(k, v)| (*k, *v)).collect(),
+            }
+        }
+    }
 
     fn beacon(id: u64, seq: u16, event: EventKind, ts: u64) -> Beacon {
         Beacon {
@@ -190,13 +256,13 @@ mod tests {
     #[test]
     fn outcome_fold_matches_raw_timeline_on_clean_streams() {
         // On a stream with no orphans and no duplicates, the
-        // outcome-driven fold must reproduce `Timeline::record`
+        // outcome-driven fold must reproduce the raw-stream fold
         // bucket-for-bucket — hourly and derived daily both.
         const HOUR: u64 = 3_600 * 1_000_000;
         let mut st = store_with(0..25);
         let mut rollup = ShardRollup::new();
-        let mut raw_hourly = Timeline::hourly();
-        let mut raw_daily = Timeline::daily();
+        let mut raw_hourly = RawTimeline::new(HOUR);
+        let mut raw_daily = RawTimeline::new(HOURS_PER_DAY * HOUR);
         for id in 0..25u64 {
             for (seq, ev) in [
                 (0, EventKind::TagLoaded),
@@ -212,13 +278,8 @@ mod tests {
                 raw_daily.record(&b);
             }
         }
-        let hourly = rollup.hourly.export_state();
-        let raw = raw_hourly.export_state();
-        assert_eq!(hourly.buckets, raw.buckets);
-        assert_eq!(
-            rollup.daily().export_state().buckets,
-            raw_daily.export_state().buckets
-        );
+        assert_eq!(rollup.hourly.export_state(), raw_hourly.state());
+        assert_eq!(rollup.daily().export_state(), raw_daily.state());
     }
 
     #[test]

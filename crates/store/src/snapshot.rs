@@ -16,6 +16,15 @@
 //! 16+n    4     CRC-32/IEEE over the body (big-endian u32)
 //! ```
 //!
+//! The body ends with the rollups: the hourly timeline's bucket width
+//! (one hour; any other width is refused), its `(bucket, beacons,
+//! measured, viewed)` counters in strictly ascending bucket order (a
+//! repeated or out-of-order index is refused), two reserved `u32`
+//! counts that are
+//! always zero (they once sized per-impression cohort lists, which
+//! every writer left empty; a non-zero count is refused), and the two
+//! sparse histograms.
+//!
 //! Snapshots are written to a temp file, fsynced, then atomically
 //! renamed over `shard-NNN.snap` — a reader sees the old snapshot or
 //! the new one, never a torn hybrid; the trailing CRC guards against
@@ -23,7 +32,9 @@
 //! recovery error (unlike a torn WAL tail there is no safe prefix to
 //! salvage — better to stop than to silently drop a shard's history).
 
-use qtag_server::{BucketStats, ImpressionRecord, SeqSeen, ServedImpression, TimelineState};
+use qtag_server::{
+    BucketStats, ImpressionRecord, SeqSeen, ServedImpression, Timeline, TimelineState,
+};
 use qtag_wire::crc::crc32;
 use qtag_wire::{AdFormat, BrowserKind, OsKind, SiteType};
 use std::fs::File;
@@ -120,16 +131,9 @@ fn put_timeline(out: &mut Vec<u8>, t: &TimelineState) {
         put_u64(out, s.measured);
         put_u64(out, s.viewed);
     }
-    put_u32(out, t.first_measured.len() as u32);
-    for (id, bucket) in &t.first_measured {
-        put_u64(out, *id);
-        put_u64(out, *bucket);
-    }
-    put_u32(out, t.viewed.len() as u32);
-    for (id, viewed) in &t.viewed {
-        put_u64(out, *id);
-        out.push(u8::from(*viewed));
-    }
+    // The two reserved cohort counts.
+    put_u32(out, 0);
+    put_u32(out, 0);
 }
 
 fn put_hist(out: &mut Vec<u8>, (count, sum, pairs): &SparseHist) {
@@ -255,13 +259,16 @@ fn get_record(c: &mut Cursor) -> io::Result<ImpressionRecord> {
 
 fn get_timeline(c: &mut Cursor) -> io::Result<TimelineState> {
     let bucket_us = c.u64()?;
-    if bucket_us == 0 {
-        return Err(corrupt("zero timeline bucket width"));
+    if bucket_us != Timeline::HOUR_US {
+        return Err(corrupt("timeline bucket width is not one hour"));
     }
     let n = c.len(32)?;
     let mut buckets = Vec::with_capacity(n);
     for _ in 0..n {
         let bucket = c.u64()?;
+        if buckets.last().is_some_and(|(prev, _)| *prev >= bucket) {
+            return Err(corrupt("timeline buckets not in ascending order"));
+        }
         buckets.push((
             bucket,
             BucketStats {
@@ -271,22 +278,12 @@ fn get_timeline(c: &mut Cursor) -> io::Result<TimelineState> {
             },
         ));
     }
-    let n = c.len(16)?;
-    let mut first_measured = Vec::with_capacity(n);
-    for _ in 0..n {
-        first_measured.push((c.u64()?, c.u64()?));
+    for _ in 0..2 {
+        if c.u32()? != 0 {
+            return Err(corrupt("non-zero reserved cohort count"));
+        }
     }
-    let n = c.len(9)?;
-    let mut viewed = Vec::with_capacity(n);
-    for _ in 0..n {
-        viewed.push((c.u64()?, c.u8()? != 0));
-    }
-    Ok(TimelineState {
-        bucket_us,
-        buckets,
-        first_measured,
-        viewed,
-    })
+    Ok(TimelineState { bucket_us, buckets })
 }
 
 fn get_hist(c: &mut Cursor) -> io::Result<SparseHist> {
@@ -406,7 +403,7 @@ pub fn read_snapshot(dir: &Path, shard: usize) -> io::Result<Option<ShardSnapsho
 mod tests {
     use super::*;
     use crate::test_dir;
-    use qtag_server::Timeline;
+    use qtag_server::ImpressionStore;
 
     fn sample() -> ShardSnapshot {
         let mut dense = SeqSeen::Sparse(Vec::new());
@@ -428,20 +425,23 @@ mod tests {
             site_type: SiteType::Browser,
             seq: 0,
         };
-        hourly.record(&b);
+        let served = ServedImpression {
+            impression_id: 11,
+            campaign_id: 2,
+            os: OsKind::Android,
+            browser: BrowserKind::Chrome,
+            site_type: SiteType::Browser,
+            ad_format: AdFormat::Display,
+        };
+        let mut store = ImpressionStore::new();
+        store.record_served(served.clone());
+        hourly.record_outcome(&b, &store.apply(&b));
         ShardSnapshot {
             epoch: 3,
             orphan_beacons: 1,
             unique_beacons: 201,
             total_duplicates: 7,
-            served: vec![ServedImpression {
-                impression_id: 11,
-                campaign_id: 2,
-                os: OsKind::Android,
-                browser: BrowserKind::Chrome,
-                site_type: SiteType::Browser,
-                ad_format: AdFormat::Display,
-            }],
+            served: vec![served],
             records: vec![(
                 11,
                 ImpressionRecord {

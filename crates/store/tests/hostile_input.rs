@@ -11,7 +11,9 @@
 //! A snapshot file is untrusted the same way. Whatever a damaged
 //! `shard-000.snap` holds, `read_snapshot` returns a snapshot or an
 //! `InvalidData` error, never panics and never allocates by a length
-//! field the body cannot back; and `DurableBackend::open` refuses every
+//! field the body cannot back. It refuses a rollup width other than
+//! one hour, rollup buckets out of ascending order and a non-zero
+//! reserved cohort count. `DurableBackend::open` refuses every
 //! snapshot `read_snapshot` refuses, plus one that decodes but holds a
 //! record for an impression it does not register.
 
@@ -251,52 +253,63 @@ proptest! {
 /// Snapshot header length: magic, version, shard, epoch.
 const SNAP_HEADER_LEN: usize = 16;
 
-/// A valid `shard-000.snap` of a one-shard durable store: served
-/// impressions, measured and viewed records, a duplicate, an orphan,
-/// rollup buckets and histograms, so every length field in the body is
-/// non-trivial. Built once.
-fn valid_snapshot() -> &'static [u8] {
-    static SNAP: OnceLock<Vec<u8>> = OnceLock::new();
-    SNAP.get_or_init(|| {
-        let dir = test_dir("snap-base");
-        let (backend, _) = DurableBackend::open(DurableConfig {
-            dir: dir.clone(),
-            shards: 1,
-            sync: SyncPolicy::NoSync,
-        })
-        .expect("open fresh backend");
-        for id in 1..=4u64 {
-            backend.record_served(ServedImpression {
-                impression_id: id,
-                campaign_id: 7,
-                os: OsKind::Android,
-                browser: BrowserKind::Chrome,
-                site_type: SiteType::App,
-                ad_format: AdFormat::Display,
-            });
-        }
-        let beacon = |id: u64, event: EventKind, seq: u16| Beacon {
+/// One hour in microseconds: the only rollup width a snapshot may
+/// carry.
+const HOUR_US: u64 = 3_600_000_000;
+
+/// A store directory written by a `shards`-shard durable store fed
+/// served impressions, measured and viewed beacons, a duplicate and an
+/// orphan, then compacted and closed.
+fn compacted_dir(tag: &str, shards: usize) -> PathBuf {
+    let dir = test_dir(tag);
+    let (backend, _) = DurableBackend::open(DurableConfig {
+        dir: dir.clone(),
+        shards,
+        sync: SyncPolicy::NoSync,
+    })
+    .expect("open fresh backend");
+    for id in 1..=4u64 {
+        backend.record_served(ServedImpression {
             impression_id: id,
             campaign_id: 7,
-            event,
-            timestamp_us: u64::from(seq) * 3_600_000_000 + id,
-            ad_format: AdFormat::Display,
-            visible_fraction_milli: 500 + 100 * seq,
-            exposure_ms: 1_000 * u32::from(seq + 1),
             os: OsKind::Android,
             browser: BrowserKind::Chrome,
             site_type: SiteType::App,
-            seq,
-        };
-        for id in 1..=3u64 {
-            backend.apply(&beacon(id, EventKind::Measurable, 0));
-            backend.apply(&beacon(id, EventKind::InView, id as u16));
-        }
-        backend.apply(&beacon(2, EventKind::InView, 2)); // duplicate
-        backend.apply(&beacon(99, EventKind::Measurable, 0)); // orphan
-        backend.compact().expect("compact");
+            ad_format: AdFormat::Display,
+        });
+    }
+    let beacon = |id: u64, event: EventKind, seq: u16| Beacon {
+        impression_id: id,
+        campaign_id: 7,
+        event,
+        timestamp_us: u64::from(seq) * HOUR_US + id,
+        ad_format: AdFormat::Display,
+        visible_fraction_milli: 500 + 100 * seq,
+        exposure_ms: 1_000 * u32::from(seq + 1),
+        os: OsKind::Android,
+        browser: BrowserKind::Chrome,
+        site_type: SiteType::App,
+        seq,
+    };
+    for id in 1..=3u64 {
+        backend.apply(&beacon(id, EventKind::Measurable, 0));
+        backend.apply(&beacon(id, EventKind::InView, id as u16));
+    }
+    backend.apply(&beacon(2, EventKind::InView, 2)); // duplicate
+    backend.apply(&beacon(99, EventKind::Measurable, 0)); // orphan
+    backend.compact().expect("compact");
+    drop(backend);
+    dir
+}
+
+/// A valid `shard-000.snap` of a one-shard durable store (see
+/// [`compacted_dir`]): every length field in the body is non-trivial.
+/// Built once.
+fn valid_snapshot() -> &'static [u8] {
+    static SNAP: OnceLock<Vec<u8>> = OnceLock::new();
+    SNAP.get_or_init(|| {
+        let dir = compacted_dir("snap-base", 1);
         let bytes = std::fs::read(snapshot_path(&dir, 0)).expect("read snapshot");
-        drop(backend);
         std::fs::remove_dir_all(&dir).expect("remove test dir");
         bytes
     })
@@ -360,15 +373,9 @@ fn length_fields(snap: &ShardSnapshot) -> Vec<(usize, usize)> {
         }
     }
     off += 8; // bucket width
-    let t = &snap.hourly;
-    for (min_item, n) in [
-        (32, t.buckets.len()),
-        (16, t.first_measured.len()),
-        (9, t.viewed.len()),
-    ] {
-        fields.push((off, min_item));
-        off += 4 + min_item * n;
-    }
+    fields.push((off, 32));
+    off += 4 + 32 * snap.hourly.buckets.len();
+    off += 2 * 4; // two reserved cohort counts, always zero
     for (_, _, pairs) in [&snap.exposure, &snap.fraction] {
         off += 16; // count, sum
         fields.push((off, 12));
@@ -386,12 +393,120 @@ fn valid_snapshot_loads_and_its_length_fields_are_where_the_walk_says() {
     assert!(!snap.hourly.buckets.is_empty() && !snap.exposure.2.is_empty());
     let body = body(valid_snapshot());
     let fields = length_fields(&snap);
-    assert_eq!(fields.len(), 2 + 3 + 3 + 2);
+    assert_eq!(fields.len(), 2 + 3 + 1 + 2);
     // Each walked offset holds the count the decoder read there.
     let at = |off: usize| u32::from_be_bytes(body[off..off + 4].try_into().unwrap()) as usize;
     assert_eq!(at(fields[0].0), snap.served.len());
     assert_eq!(at(fields[1].0), snap.records.len());
     assert_eq!(at(fields[fields.len() - 1].0), snap.fraction.2.len());
+    assert_eq!(at(bucket_count_offset(&snap)), snap.hourly.buckets.len());
+    let width = width_offset(&snap);
+    assert_eq!(body[width..width + 8], HOUR_US.to_be_bytes());
+    for off in reserved_offsets(&snap) {
+        assert_eq!(at(off), 0, "reserved cohort count at {off}");
+    }
+}
+
+/// Body offset of the hourly timeline's bucket count: the third length
+/// field from the end (before the two histograms').
+fn bucket_count_offset(snap: &ShardSnapshot) -> usize {
+    let fields = length_fields(snap);
+    fields[fields.len() - 3].0
+}
+
+/// Body offset of the hourly timeline's bucket width (the word before
+/// its bucket count).
+fn width_offset(snap: &ShardSnapshot) -> usize {
+    bucket_count_offset(snap) - 8
+}
+
+/// Body offsets of the two reserved cohort counts after the buckets.
+fn reserved_offsets(snap: &ShardSnapshot) -> [usize; 2] {
+    let first = bucket_count_offset(snap) + 4 + 32 * snap.hourly.buckets.len();
+    [first, first + 4]
+}
+
+/// Every file in `dir` with its bytes, by name.
+fn dir_contents(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("list test dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            (e.file_name(), std::fs::read(e.path()).expect("read file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A non-zero reserved cohort count (the slot once sized a
+/// per-impression list no writer filled) is refused.
+#[test]
+fn snapshot_reserved_cohort_counts_must_be_zero() {
+    let snap = load_snapshot(valid_snapshot()).expect("the base snapshot loads");
+    let base = body(valid_snapshot());
+    for off in reserved_offsets(&snap) {
+        for n in [1u32, u32::MAX] {
+            let mut damaged = base.to_vec();
+            damaged[off..off + 4].copy_from_slice(&n.to_be_bytes());
+            let err = load_snapshot(&with_body(&damaged)).expect_err("non-zero reserved count");
+            assert!(err.to_string().contains("reserved"), "offset {off}: {err}");
+        }
+    }
+}
+
+/// A bucket index that repeats or goes backwards is refused: loaded,
+/// the later entry would silently replace the earlier one's counts.
+#[test]
+fn snapshot_rollup_buckets_out_of_order_are_refused() {
+    let snap = load_snapshot(valid_snapshot()).expect("the base snapshot loads");
+    assert!(snap.hourly.buckets.len() >= 3);
+    let base = body(valid_snapshot());
+    let entry = |i: usize| bucket_count_offset(&snap) + 4 + 32 * i;
+    // The second entry repeats the first; the third goes back to it.
+    for at in [entry(1), entry(2)] {
+        let mut damaged = base.to_vec();
+        damaged[at..at + 8].copy_from_slice(&snap.hourly.buckets[0].0.to_be_bytes());
+        let err = load_snapshot(&with_body(&damaged)).expect_err("bucket order broken");
+        assert!(err.to_string().contains("ascending"), "offset {at}: {err}");
+    }
+}
+
+/// A rollup width other than one hour — one too wide for the daily
+/// `coarsen(24)` to multiply, or one that differs from the sibling
+/// shard's and so cannot merge — is refused at `open` with
+/// `InvalidData`, and the directory is left as it was found.
+#[test]
+fn snapshot_rollup_width_other_than_one_hour_is_refused() {
+    for shards in [1, 2] {
+        for width in [1u64 << 61, 2 * HOUR_US, HOUR_US - 1] {
+            let dir = compacted_dir("snap-width", shards);
+            let shard = shards - 1;
+            let snap = read_snapshot(&dir, shard)
+                .expect("the compacted snapshot loads")
+                .expect("compaction wrote it");
+            let path = snapshot_path(&dir, shard);
+            let mut file = std::fs::read(&path).expect("read snapshot");
+            let body_end = file.len() - 4;
+            let at = SNAP_HEADER_LEN + width_offset(&snap);
+            file[at..at + 8].copy_from_slice(&width.to_be_bytes());
+            let crc = crc32(&file[SNAP_HEADER_LEN..body_end]);
+            file[body_end..].copy_from_slice(&crc.to_be_bytes());
+            std::fs::write(&path, &file).expect("write snapshot");
+
+            let before = dir_contents(&dir);
+            let err = DurableBackend::open(DurableConfig {
+                dir: dir.clone(),
+                shards,
+                sync: SyncPolicy::NoSync,
+            })
+            .expect_err("a width other than one hour is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("one hour"), "{err}");
+            assert_eq!(dir_contents(&dir), before, "{shards} shards, width {width}");
+            std::fs::remove_dir_all(&dir).expect("remove test dir");
+        }
+    }
 }
 
 /// A length field set to `u32::MAX`, or to one item more than the rest

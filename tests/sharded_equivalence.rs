@@ -153,22 +153,33 @@ proptest! {
         }
     }
 
-    /// Timeline: fold each beacon into the timeline of its owning
-    /// shard, merge all shard timelines — identical buckets to one
-    /// timeline fed the whole stream.
+    /// Timeline: apply each beacon to its owning shard's store and fold
+    /// the outcome into that shard's timeline, merge all shard
+    /// timelines — identical buckets to one timeline fed the outcomes
+    /// of one store. Every fourth impression is unregistered, so its
+    /// beacons count in `beacons` but never in the cohorts.
     #[test]
     fn sharded_timelines_merge_to_reference(
         beacons in proptest::collection::vec(arb_beacon(), 0..400),
         shards in 1usize..=16,
     ) {
+        let registered = |id: u64| id % 4 != 3;
+        let mut ref_store = ImpressionStore::new();
+        let mut shard_stores: Vec<ImpressionStore> =
+            (0..shards).map(|_| ImpressionStore::new()).collect();
+        for id in (0..IMPRESSION_SPACE).filter(|id| registered(*id)) {
+            ref_store.record_served(served(id));
+            shard_stores[shard_of(id, shards)].record_served(served(id));
+        }
         // 0.5 s buckets so random timestamps land in several buckets
         // and the merge genuinely unions/overlaps bucket maps.
         let mut reference = Timeline::new(500_000);
         let mut per_shard: Vec<Timeline> =
             (0..shards).map(|_| Timeline::new(500_000)).collect();
         for b in &beacons {
-            reference.record(b);
-            per_shard[shard_of(b.impression_id, shards)].record(b);
+            reference.record_outcome(b, &ref_store.apply(b));
+            let s = shard_of(b.impression_id, shards);
+            per_shard[s].record_outcome(b, &shard_stores[s].apply(b));
         }
         let mut merged = per_shard.remove(0);
         for t in &per_shard {
@@ -179,6 +190,20 @@ proptest! {
         prop_assert_eq!(got, expect);
         prop_assert_eq!(merged.total_measured(), reference.total_measured());
         prop_assert_eq!(merged.total_viewed(), reference.total_viewed());
+        // Orphans are traffic, never cohort members.
+        let traffic: u64 = merged.buckets().map(|(_, s)| s.beacons).sum();
+        prop_assert_eq!(traffic, beacons.len() as u64);
+        // The first delivery of an `(impression, seq)` applies; a
+        // retry of it is a duplicate whatever its event.
+        let mut delivered = std::collections::BTreeSet::new();
+        let measured_registered = beacons
+            .iter()
+            .filter(|b| registered(b.impression_id) && delivered.insert((b.impression_id, b.seq)))
+            .filter(|b| matches!(b.event, EventKind::Measurable | EventKind::InView))
+            .map(|b| b.impression_id)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
+        prop_assert_eq!(merged.total_measured(), measured_registered);
     }
 
     /// Anomaly validation: shard-local validators merged give the same
