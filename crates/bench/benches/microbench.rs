@@ -13,6 +13,8 @@
 //!   (the shard journal's hot path).
 //! * `store/apply_group_700` — one shard applier's loop without the
 //!   threads: lock the shard, apply a 700-beacon group, journal it.
+//! * `store/recover_2_shards` — one recovery of a 2-shard store
+//!   holding what an `ingest_durable` block journals.
 //! * `region/*` — compositor occlusion math.
 //!
 //! Ingestion throughput is timed by qbench's `ingest_durable` workload.
@@ -224,6 +226,87 @@ fn bench_store(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovery of what one `ingest_durable` block leaves behind: a
+/// 2-shard `NoSync` store holding 200k served registrations, then 550k
+/// beacons in waves (every impression's seq 0, then seq 1, then seq 2
+/// for three in four), 1 % of them journaled twice, in the appliers'
+/// 700-beacon groups. Each iteration is one `open` of that directory,
+/// and the drop of what it recovered.
+fn bench_recover(c: &mut Criterion) {
+    const IMPRESSIONS: u64 = 200_000;
+    const SHARDS: usize = 2;
+    const GROUP: usize = 700;
+    let dir = std::env::temp_dir().join(format!("qtag-microbench-recover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = DurableConfig {
+        dir: dir.clone(),
+        shards: SHARDS,
+        sync: SyncPolicy::NoSync,
+    };
+    let (backend, _) = DurableBackend::open(config.clone()).expect("open a scratch store");
+    for id in 1..=IMPRESSIONS {
+        backend.record_served(ServedImpression {
+            impression_id: id,
+            campaign_id: 1 + (id % 99) as u32,
+            os: OsKind::Android,
+            browser: BrowserKind::AndroidWebView,
+            site_type: SiteType::App,
+            ad_format: AdFormat::Display,
+        });
+    }
+    let journal = backend.journal().expect("the durable backend journals");
+    let store = backend.store();
+    let mut groups: Vec<Vec<Beacon>> = (0..SHARDS).map(|_| Vec::with_capacity(GROUP)).collect();
+    let flush = |shard: usize, batch: &mut Vec<Beacon>| {
+        let mut st = store.shard(shard).lock();
+        let outcomes: Vec<_> = batch.iter().map(|b| st.apply(b)).collect();
+        journal.append_beacons(shard, batch, &outcomes);
+        batch.clear();
+    };
+    for seq in 0..3u16 {
+        for id in 1..=IMPRESSIONS {
+            if seq == 2 && id % 4 == 0 {
+                continue;
+            }
+            let mut b = sample_beacon(seq);
+            b.impression_id = id;
+            b.campaign_id = 1 + (id % 99) as u32;
+            b.event = match seq {
+                0 => EventKind::TagLoaded,
+                1 => EventKind::Measurable,
+                _ => EventKind::InView,
+            };
+            b.timestamp_us = (u64::from(seq) * IMPRESSIONS + id) * 1_000;
+            let shard = store.shard_of(id);
+            let copies = if id % 100 == 0 { 2 } else { 1 };
+            for _ in 0..copies {
+                groups[shard].push(b.clone());
+                if groups[shard].len() == GROUP {
+                    flush(shard, &mut groups[shard]);
+                }
+            }
+        }
+    }
+    for (shard, batch) in groups.iter_mut().enumerate() {
+        flush(shard, batch);
+    }
+    drop(journal);
+    drop(backend);
+
+    let mut group = c.benchmark_group("store");
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.bench_function("recover_2_shards", |b| {
+        b.iter(|| {
+            let (recovered, report) = DurableBackend::open(config.clone()).expect("recover");
+            assert_eq!(report.served_replayed, IMPRESSIONS);
+            drop(recovered);
+            report.records_replayed
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_region(c: &mut Criterion) {
     let mut group = c.benchmark_group("region");
     group.bench_function("subtract_16_occluders", |b| {
@@ -272,6 +355,7 @@ criterion_group!(
     bench_fleet_sweep,
     bench_wire,
     bench_store,
+    bench_recover,
     bench_region,
     bench_estimator
 );

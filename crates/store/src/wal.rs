@@ -27,6 +27,12 @@
 //! valid prefix ends so the caller can truncate the file and resume
 //! appending cleanly. Nothing after the first invalid frame is ever
 //! interpreted — a torn write can lose the tail, never invent data.
+//!
+//! **Streaming.** [`WalStream`] reads a log through one fixed-size
+//! buffer and decodes a frame at a time, so it holds at most a buffer
+//! and one partial frame, however long the log. Recovery applies
+//! records a small batch at a time as they are decoded; [`replay`]
+//! collects them all, for tests and audits.
 
 use crate::record::{self, RecordError, WalRecord};
 use std::fs::{File, OpenOptions};
@@ -116,7 +122,7 @@ fn decode_header(bytes: &[u8]) -> io::Result<WalHeader> {
 }
 
 /// Everything replay learned from one WAL file.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Replay {
     /// Header of the file (present even when the record area is empty).
     pub header: WalHeader,
@@ -131,36 +137,168 @@ pub struct Replay {
     pub discarded_bytes: u64,
 }
 
-/// Reads and validates one WAL file front to back.
+/// Reads and validates one WAL file front to back, collecting the
+/// valid record prefix.
 ///
 /// IO errors (not *decode* errors) propagate: an unreadable file is an
 /// operational problem, not a torn tail.
 pub fn replay(path: &Path) -> io::Result<Replay> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let header = decode_header(&bytes)?;
+    collect(WalStream::open(path)?)
+}
+
+fn collect<R: Read>(mut stream: WalStream<R>) -> io::Result<Replay> {
     let mut records = Vec::new();
-    let mut off = WAL_HEADER_LEN;
-    let mut torn = None;
-    while off < bytes.len() {
-        match record::decode_frame(&bytes[off..]) {
-            Ok((rec, consumed)) => {
-                records.push(rec);
-                off += consumed;
-            }
-            Err(e) => {
-                torn = Some(e);
-                break;
-            }
-        }
-    }
+    stream.next_records(&mut records, usize::MAX)?;
+    let header = stream.header();
+    let tail = stream.finish()?;
     Ok(Replay {
         header,
         records,
-        valid_len: off as u64,
-        torn,
-        discarded_bytes: (bytes.len() - off) as u64,
+        valid_len: tail.valid_len,
+        torn: tail.torn,
+        discarded_bytes: tail.discarded_bytes,
     })
+}
+
+/// Bytes one read of a streamed log asks for: some 1,400 beacon frames,
+/// and what bounds replay's memory whatever the log's length.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Where a streamed log's valid prefix ended and what followed it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalTail {
+    /// Byte offset where the valid prefix ends (file length when the
+    /// whole log was clean).
+    pub valid_len: u64,
+    /// The decode failure that ended the prefix, if the tail was torn.
+    pub torn: Option<RecordError>,
+    /// Bytes after the valid prefix.
+    pub discarded_bytes: u64,
+}
+
+/// One WAL read front to back through a fixed-size buffer, a frame at
+/// a time. The header is read and checked on open; a caller that only
+/// needs the header (a stale log) stops there.
+#[derive(Debug)]
+pub struct WalStream<R = File> {
+    src: R,
+    chunk: usize,
+    /// Read bytes; `buf[pos..]` is not decoded yet.
+    buf: Vec<u8>,
+    pos: usize,
+    eof: bool,
+    header: WalHeader,
+    valid_len: u64,
+    torn: Option<RecordError>,
+}
+
+impl WalStream {
+    /// Opens `path` and reads its header. A file too short for a
+    /// header, or with another magic or version, is `InvalidData`.
+    pub fn open(path: &Path) -> io::Result<WalStream> {
+        WalStream::new(File::open(path)?, READ_CHUNK)
+    }
+}
+
+impl<R: Read> WalStream<R> {
+    fn new(mut src: R, chunk: usize) -> io::Result<Self> {
+        assert!(chunk >= 1, "a read must ask for at least one byte");
+        let mut buf =
+            Vec::with_capacity(chunk + record::FRAME_HEADER_LEN + record::MAX_PAYLOAD_LEN);
+        let mut eof = false;
+        while buf.len() < WAL_HEADER_LEN && !eof {
+            eof = !read_chunk(&mut src, &mut buf, chunk)?;
+        }
+        let header = decode_header(&buf)?;
+        Ok(WalStream {
+            src,
+            chunk,
+            buf,
+            pos: WAL_HEADER_LEN,
+            eof,
+            header,
+            valid_len: WAL_HEADER_LEN as u64,
+            torn: None,
+        })
+    }
+
+    /// The log's header.
+    pub fn header(&self) -> WalHeader {
+        self.header
+    }
+
+    /// The next record of the valid prefix, or `None` once the log ends
+    /// cleanly or at the first invalid frame.
+    fn next_record(&mut self) -> io::Result<Option<WalRecord>> {
+        while self.torn.is_none() {
+            let window = &self.buf[self.pos..];
+            if window.is_empty() {
+                if self.eof || !self.fill()? {
+                    return Ok(None);
+                }
+                continue;
+            }
+            // A frame cut by the end of the buffer reads as truncated;
+            // only at end of file is that the log's last word.
+            match record::decode_frame(window) {
+                Ok((rec, consumed)) => {
+                    self.pos += consumed;
+                    self.valid_len += consumed as u64;
+                    return Ok(Some(rec));
+                }
+                Err(RecordError::Truncated) if !self.eof => {
+                    self.fill()?;
+                }
+                Err(e) => self.torn = Some(e),
+            }
+        }
+        Ok(None)
+    }
+
+    /// Appends up to `max` more records of the valid prefix to `out`
+    /// and returns how many; 0 once the prefix is exhausted.
+    pub fn next_records(&mut self, out: &mut Vec<WalRecord>, max: usize) -> io::Result<usize> {
+        let mut n = 0;
+        while n < max {
+            match self.next_record()? {
+                Some(rec) => out.push(rec),
+                None => break,
+            }
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// Where the valid prefix ended, once it is exhausted (a read
+    /// returned no record). A torn tail is read to the end of the file
+    /// and counted, not kept.
+    pub fn finish(mut self) -> io::Result<WalTail> {
+        let mut discarded_bytes = (self.buf.len() - self.pos) as u64;
+        if !self.eof {
+            discarded_bytes += io::copy(&mut self.src, &mut io::sink())?;
+        }
+        Ok(WalTail {
+            valid_len: self.valid_len,
+            torn: self.torn,
+            discarded_bytes,
+        })
+    }
+
+    /// Moves the undecoded bytes to the front of the buffer and reads
+    /// the next chunk behind them; `Ok(false)` at end of file.
+    fn fill(&mut self) -> io::Result<bool> {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        let more = read_chunk(&mut self.src, &mut self.buf, self.chunk)?;
+        self.eof = !more;
+        Ok(more)
+    }
+}
+
+/// Appends up to `chunk` bytes of `src` to `buf`; `Ok(false)` when
+/// `src` had none left.
+fn read_chunk<R: Read>(src: &mut R, buf: &mut Vec<u8>, chunk: usize) -> io::Result<bool> {
+    Ok(src.by_ref().take(chunk as u64).read_to_end(buf)? > 0)
 }
 
 /// Append handle for one shard's WAL. Not internally synchronized —
@@ -316,6 +454,7 @@ mod tests {
     use crate::record::{encode_ack, encode_beacon, encode_served};
     use crate::test_dir;
     use qtag_server::ServedImpression;
+    use qtag_wire::crc::crc32;
     use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 
     fn beacon(id: u64, seq: u16) -> Beacon {
@@ -461,6 +600,107 @@ mod tests {
         assert_eq!(r.header.epoch, 5);
         assert_eq!(r.records, vec![WalRecord::Beacon(beacon(2, 1))]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log as `WalWriter` lays it out: header, then one framed
+    /// record of each kind and a run of beacons.
+    fn sample_log() -> Vec<u8> {
+        let mut bytes = encode_header(2, 9).to_vec();
+        encode_served(
+            &ServedImpression {
+                impression_id: 9,
+                campaign_id: 2,
+                os: OsKind::Ios,
+                browser: BrowserKind::Safari,
+                site_type: SiteType::App,
+                ad_format: AdFormat::Video,
+            },
+            &mut bytes,
+        );
+        for seq in 0..8 {
+            encode_beacon(&beacon(9, seq), &mut bytes);
+        }
+        encode_ack(9, 7, &mut bytes);
+        bytes
+    }
+
+    /// Replays `bytes` read `chunk` bytes at a time; an error becomes
+    /// its kind and message, so runs compare whole.
+    fn replay_in_chunks(bytes: &[u8], chunk: usize) -> Result<Replay, String> {
+        WalStream::new(bytes, chunk)
+            .and_then(collect)
+            .map_err(|e| format!("{:?}: {e}", e.kind()))
+    }
+
+    /// The damage `tests/hostile_input.rs` does to a log — a byte
+    /// flipped anywhere, a cut anywhere, noise behind the header, noise
+    /// as the whole file — plus a checksummed maximum-length frame, a
+    /// long clean log, and the undamaged one.
+    fn hostile_corpus() -> Vec<Vec<u8>> {
+        let log = sample_log();
+        let mut corpus = vec![log.clone()];
+        for pos in 0..log.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut damaged = log.clone();
+                damaged[pos] ^= flip;
+                corpus.push(damaged);
+            }
+        }
+        corpus.extend((0..log.len()).map(|cut| log[..cut].to_vec()));
+        // xorshift64: deterministic noise without a dependency.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut noise = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect()
+        };
+        for n in [0, 1, 7, 8, 9, 40, 255, 600] {
+            let mut behind = log[..WAL_HEADER_LEN].to_vec();
+            behind.extend(noise(n));
+            corpus.push(behind);
+            corpus.push(noise(n));
+        }
+        let max = record::MAX_PAYLOAD_LEN;
+        let mut payload = vec![0u8; max];
+        payload[0] = 99;
+        let mut framed = log.clone();
+        framed.extend_from_slice(&(max as u32).to_be_bytes());
+        framed.extend_from_slice(&crc32(&payload).to_be_bytes());
+        framed.extend_from_slice(&payload);
+        encode_ack(9, 8, &mut framed);
+        corpus.push(framed);
+        let mut long = log;
+        for seq in 0..3_000 {
+            encode_beacon(&beacon(10, seq), &mut long);
+        }
+        corpus.push(long);
+        corpus
+    }
+
+    #[test]
+    fn chunked_reads_replay_exactly_as_the_whole_file() {
+        // 263 is one byte short of a maximum frame, so such a frame
+        // never arrives in one read.
+        assert_eq!(record::FRAME_HEADER_LEN + record::MAX_PAYLOAD_LEN, 264);
+        for (i, bytes) in hostile_corpus().iter().enumerate() {
+            let whole = replay_in_chunks(bytes, bytes.len().max(1));
+            if let Ok(r) = &whole {
+                assert_eq!(r.valid_len + r.discarded_bytes, bytes.len() as u64);
+            }
+            for chunk in [1, 8, 263, 4096] {
+                assert_eq!(
+                    replay_in_chunks(bytes, chunk),
+                    whole,
+                    "corpus entry {i} ({} bytes) at {chunk}-byte reads",
+                    bytes.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //!   report output, including across further appends, and the
 //!   compaction *crash window* (new snapshot, old WAL) is detected by
 //!   the epoch and resolved without double-counting.
+//! * **Parallel recovery** — shards recovered on several workers come
+//!   back exactly as each shard's log replays alone, at shard counts
+//!   below and above the core count, and a directory with several
+//!   broken shards is refused with the lowest-numbered shard's error.
 
 use qtag_server::{ImpressionStore, ReportBuilder, ServedImpression};
 use qtag_store::{
-    record, replay, wal_path, DurableBackend, DurableConfig, ShardRollup, StorageBackend,
-    SyncPolicy, WalRecord,
+    record, replay, replay_into, wal_path, DurableBackend, DurableConfig, ShardRollup,
+    StorageBackend, SyncPolicy, WalRecord,
 };
 use qtag_wire::{AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
 use std::path::{Path, PathBuf};
@@ -425,14 +429,14 @@ fn observable(b: &DurableBackend, ids: u64) -> impl PartialEq + std::fmt::Debug 
     )
 }
 
-/// Names and sizes of every file in `dir`, sorted.
-fn listing(dir: &Path) -> Vec<(String, u64)> {
+/// Names and bytes of every file in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .expect("list dir")
         .map(|e| {
             let e = e.expect("dir entry");
-            let len = e.metadata().expect("stat").len();
-            (e.file_name().to_string_lossy().into_owned(), len)
+            let bytes = std::fs::read(e.path()).expect("read file");
+            (e.file_name().to_string_lossy().into_owned(), bytes)
         })
         .collect();
     files.sort();
@@ -535,11 +539,29 @@ fn stale_wal_from_compaction_crash_window_is_discarded() {
     let old_wal = std::fs::read(wal_path(&dir, 0)).unwrap();
     backend.compact().expect("compact");
     drop(backend);
-    std::fs::write(wal_path(&dir, 0), &old_wal).unwrap();
+
+    // A torn tail behind the stale records changes nothing: the log is
+    // judged by its header and never decoded.
+    let mut stale = old_wal.clone();
+    stale.extend_from_slice(&[0xAB; 5]);
+    std::fs::write(wal_path(&dir, 0), &stale).unwrap();
 
     let (recovered, report) = open().expect("recover across the crash window");
-    assert_eq!(report.stale_wals_discarded, 1);
-    assert_eq!(report.records_replayed, 0, "stale records not replayed");
+    assert_eq!(
+        report,
+        qtag_store::RecoveryReport {
+            shards: 1,
+            snapshots_loaded: 1,
+            stale_wals_discarded: 1,
+            ..Default::default()
+        },
+        "stale records not replayed, stale tail not counted"
+    );
+    // The writer reopened a fresh log at the snapshot's epoch.
+    let fresh = std::fs::read(wal_path(&dir, 0)).unwrap();
+    assert_eq!(fresh.len(), qtag_store::wal::WAL_HEADER_LEN);
+    assert_eq!(fresh[..8], old_wal[..8], "magic, version, shard");
+    assert_eq!(fresh[8..16], 1u64.to_be_bytes(), "epoch of the snapshot");
     assert_eq!(
         ReportBuilder::per_campaign_sharded(recovered.store()),
         before
@@ -552,4 +574,110 @@ fn stale_wal_from_compaction_crash_window_is_discarded() {
     assert_eq!(report2.stale_wals_discarded, 0);
     assert_eq!(report2.snapshots_loaded, 1);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Recovery on parallel workers equals each shard's log replayed on
+/// its own, at one shard, at shard counts around a small machine's
+/// core count, and at 8 (more shards than workers, so a worker
+/// recovers several): per-campaign reports and unique beacons match
+/// `replay_into` over every shard's WAL, and the hourly rollup matches
+/// the live fold.
+#[test]
+fn parallel_recovery_equals_replaying_each_shard_log() {
+    const IDS: u64 = 200;
+    for shards in [1, 2, 3, 8] {
+        let dir = test_dir("parallel");
+        let open = || {
+            DurableBackend::open(DurableConfig {
+                dir: dir.clone(),
+                shards,
+                sync: SyncPolicy::NoSync,
+            })
+        };
+        let (backend, _) = open().expect("open");
+        drive(&backend, 0..IDS);
+        let live_hourly = backend.merged_hourly().export_state();
+        drop(backend);
+
+        let mut reference = ImpressionStore::new();
+        let mut records = 0;
+        for shard in 0..shards {
+            let log = replay(&wal_path(&dir, shard)).expect("replay shard log");
+            assert!(log.torn.is_none());
+            assert!(
+                !log.records.is_empty(),
+                "{shards} shards: shard {shard} empty"
+            );
+            records += log.records.len() as u64;
+            replay_into(&mut reference, &log.records);
+        }
+        let (recovered, report) = open().expect("recover");
+        assert_eq!(report.shards, shards);
+        assert_eq!(report.records_replayed, records, "{shards} shards");
+        assert_eq!(
+            recovered.stats().snapshot().records_recovered,
+            records,
+            "{shards} shards"
+        );
+        assert_eq!(
+            ReportBuilder::per_campaign_sharded(recovered.store()),
+            ReportBuilder::per_campaign(&reference),
+            "{shards} shards: reports"
+        );
+        assert_eq!(
+            recovered.store().unique_beacons(),
+            reference.unique_beacons(),
+            "{shards} shards"
+        );
+        assert_eq!(
+            recovered.merged_hourly().export_state(),
+            live_hourly,
+            "{shards} shards: hourly rollup"
+        );
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Two broken shards at once: whichever worker meets its broken shard
+/// first, `open` returns the lower shard's error, every time, and
+/// leaves every byte of the directory as it found it.
+#[test]
+fn the_lowest_broken_shard_names_the_error() {
+    const IDS: u64 = 200;
+    for (shards, broken) in [(8, [1, 3]), (4, [1, 3]), (4, [1, 2]), (3, [0, 1])] {
+        let dir = test_dir("broken");
+        let open = || {
+            DurableBackend::open(DurableConfig {
+                dir: dir.clone(),
+                shards,
+                sync: SyncPolicy::NoSync,
+            })
+        };
+        let (backend, _) = open().expect("open");
+        drive(&backend, 0..IDS);
+        drop(backend);
+        // Each broken WAL's header names a shard that does not exist.
+        for shard in broken {
+            let path = wal_path(&dir, shard);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[6..8].copy_from_slice(&0x7777u16.to_be_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let before = listing(&dir);
+        let expected = format!("shard-{:03}.wal: WAL header names shard", broken[0]);
+        for run in 0..20 {
+            let err = open().expect_err("a broken directory is refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(
+                err.to_string().contains(&expected),
+                "{shards} shards, broken {broken:?}, run {run}: {err}"
+            );
+            assert!(
+                listing(&dir) == before,
+                "a refused open touched the directory"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
