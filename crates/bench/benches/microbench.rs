@@ -15,6 +15,10 @@
 //!   threads: lock the shard, apply a 700-beacon group, journal it.
 //! * `store/recover_2_shards` — one recovery of a 2-shard store
 //!   holding what an `ingest_durable` block journals.
+//! * `store/footprint_{200k,2m}` — resident bytes per impression of a
+//!   2-shard `ShardedStore`, served rows alone and with 3-beacon
+//!   records (`VmRSS` growth, printed once), and one verdict lookup
+//!   per resident impression.
 //! * `region/*` — compositor occlusion math.
 //!
 //! Ingestion throughput is timed by qbench's `ingest_durable` workload.
@@ -25,7 +29,7 @@ use qtag_core::{AreaEstimator, PixelLayout, QTag, QTagConfig};
 use qtag_dom::{Origin, Page, Screen, Tab, TabId, WindowKind};
 use qtag_geometry::{Rect, Region, Size};
 use qtag_render::{Engine, EngineConfig, RenderMode, SimDuration};
-use qtag_server::ServedImpression;
+use qtag_server::{ServedImpression, ShardedStore};
 use qtag_store::{DurableBackend, DurableConfig, StorageBackend, SyncPolicy};
 use qtag_wire::crc::{crc16, crc32};
 use qtag_wire::{binary, framing, AdFormat, Beacon, BrowserKind, EventKind, OsKind, SiteType};
@@ -307,6 +311,103 @@ fn bench_recover(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// This process's resident set (`VmRSS` in `/proc/self/status`), in
+/// bytes; 0 where the file is missing.
+fn rss_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+            let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+            Some(kib * 1024)
+        })
+        .unwrap_or(0)
+}
+
+/// A 2-shard `ShardedStore` holding impressions `1..=n`, each given
+/// three beacons (`TagLoaded`, `Measurable`, `InView`), and the RSS
+/// growth per impression after the registrations (served rows only)
+/// and after the beacons (rows with records).
+fn footprint_store(n: u64) -> (ShardedStore, f64, f64) {
+    let start = rss_bytes();
+    let store = ShardedStore::new(2);
+    for id in 1..=n {
+        store.record_served(ServedImpression {
+            impression_id: id,
+            campaign_id: 1 + (id % 99) as u32,
+            os: OsKind::Android,
+            browser: BrowserKind::AndroidWebView,
+            site_type: SiteType::App,
+            ad_format: AdFormat::Display,
+        });
+    }
+    let served = rss_bytes();
+    let events = [
+        EventKind::TagLoaded,
+        EventKind::Measurable,
+        EventKind::InView,
+    ];
+    for (seq, event) in (0u16..).zip(events) {
+        for id in 1..=n {
+            let mut b = sample_beacon(seq);
+            b.impression_id = id;
+            b.event = event;
+            store.apply(&b);
+        }
+    }
+    let recorded = rss_bytes();
+    assert_eq!(store.unique_beacons(), 3 * n);
+    let per_imp = |rss: u64| rss.saturating_sub(start) as f64 / n as f64;
+    (store, per_imp(served), per_imp(recorded))
+}
+
+/// What a resident impression costs the store, at 200k and 2M
+/// impressions ([`footprint_store`]); each timed iteration looks up
+/// every impression's verdict once.
+///
+/// An RSS delta is only the store's size in a fresh heap: once an
+/// earlier build has freed its tables, glibc serves the next build's
+/// growth tables from a heap that keeps the freed ones resident (a 2M
+/// build after a 200k one read 16 B/impression more). So the figure
+/// comes from a child process running this bench alone — the bench
+/// binary with this bench's id as its filter — which measures in its
+/// own, untouched heap and prints the line forwarded here.
+fn bench_footprint(c: &mut Criterion) {
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    let mut group = c.benchmark_group("store");
+    group.measurement_time(std::time::Duration::from_secs(1));
+    for (id, n) in [("footprint_200k", 200_000u64), ("footprint_2m", 2_000_000)] {
+        let name = format!("store/{id}");
+        group.throughput(Throughput::Elements(n));
+        group.bench_function(id, |b| {
+            let store = if filter.as_deref() == Some(name.as_str()) {
+                let (store, served, recorded) = footprint_store(n);
+                println!(
+                    "{name}: {served:.1} B/impression served rows only, \
+                     {recorded:.1} B/impression with records"
+                );
+                store
+            } else {
+                let exe = std::env::current_exe().expect("own path");
+                let out = std::process::Command::new(exe)
+                    .arg(&name)
+                    .output()
+                    .expect("run the footprint child");
+                assert!(out.status.success(), "footprint child failed");
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                let line = stdout
+                    .lines()
+                    .find(|l| l.starts_with(&format!("{name}:")))
+                    .expect("the child prints its footprint");
+                println!("{line}");
+                footprint_store(n).0
+            };
+            b.iter(|| (1..=n).filter(|&id| store.verdict(id).1).count());
+        });
+    }
+    group.finish();
+}
+
 fn bench_region(c: &mut Criterion) {
     let mut group = c.benchmark_group("region");
     group.bench_function("subtract_16_occluders", |b| {
@@ -351,6 +452,7 @@ fn bench_estimator(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_footprint,
     bench_tag_overhead,
     bench_fleet_sweep,
     bench_wire,

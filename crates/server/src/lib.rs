@@ -56,6 +56,8 @@ pub use report::{
 };
 pub use shard::{shard_of, ShardedStore};
 pub use sim_transport::{SimCollectorTransport, SimFaults};
-pub use store::{ApplyOutcome, ImpressionRecord, ImpressionStore, SeqSeen, ServedImpression};
+pub use store::{
+    ApplyOutcome, ImpressionRecord, ImpressionStore, SeqList, SeqSeen, ServedImpression,
+};
 pub use timeline::{BucketStats, Timeline, TimelineState};
 pub use transport::{CorruptionKind, LossyLink};

@@ -24,6 +24,140 @@ pub struct ServedImpression {
     pub ad_format: AdFormat,
 }
 
+/// Seqs a [`SeqList`] keeps inline; the eighth moves the list to the
+/// heap.
+const INLINE_SEQS: usize = 7;
+
+/// Length of an inline [`SeqList`]. An enum rather than a `u8`, so the
+/// 248 byte values it never takes are a niche: `SeqList` and
+/// [`SeqSeen`] keep their variant tags there, which holds both at
+/// 16 bytes.
+#[derive(Clone, Copy)]
+#[repr(u8)]
+enum InlineLen {
+    L0,
+    L1,
+    L2,
+    L3,
+    L4,
+    L5,
+    L6,
+    L7,
+}
+
+impl InlineLen {
+    const ALL: [InlineLen; INLINE_SEQS + 1] = [
+        InlineLen::L0,
+        InlineLen::L1,
+        InlineLen::L2,
+        InlineLen::L3,
+        InlineLen::L4,
+        InlineLen::L5,
+        InlineLen::L6,
+        InlineLen::L7,
+    ];
+}
+
+#[derive(Clone)]
+enum SeqListRepr {
+    Inline {
+        len: InlineLen,
+        seqs: [u16; INLINE_SEQS],
+    },
+    // Boxed so the variant is one pointer wide: a bare `Vec` would make
+    // every list 24 bytes to serve the few impressions past seven seqs.
+    #[allow(clippy::box_collection)]
+    Heap(Box<Vec<u16>>),
+}
+
+/// The sorted seqs of a sparse [`SeqSeen`]: up to seven inline, in the
+/// 16 bytes the tracker occupies anyway, and on the heap from the
+/// eighth. Derefs to `[u16]`; two lists are equal when they hold the
+/// same seqs, wherever they keep them.
+#[derive(Clone)]
+pub struct SeqList(SeqListRepr);
+
+impl Default for SeqList {
+    fn default() -> Self {
+        SeqList(SeqListRepr::Inline {
+            len: InlineLen::L0,
+            seqs: [0; INLINE_SEQS],
+        })
+    }
+}
+
+impl SeqList {
+    /// Inserts `seq` at `pos` (where a binary search put it), shifting
+    /// the seqs after it right.
+    fn insert(&mut self, pos: usize, seq: u16) {
+        match &mut self.0 {
+            SeqListRepr::Inline { len, seqs } => {
+                let n = *len as usize;
+                if n < INLINE_SEQS {
+                    seqs.copy_within(pos..n, pos + 1);
+                    seqs[pos] = seq;
+                    *len = InlineLen::ALL[n + 1];
+                } else {
+                    let mut heap = Vec::with_capacity(2 * (INLINE_SEQS + 1));
+                    heap.extend_from_slice(seqs);
+                    heap.insert(pos, seq);
+                    self.0 = SeqListRepr::Heap(Box::new(heap));
+                }
+            }
+            SeqListRepr::Heap(v) => v.insert(pos, seq),
+        }
+    }
+}
+
+impl std::ops::Deref for SeqList {
+    type Target = [u16];
+
+    fn deref(&self) -> &[u16] {
+        match &self.0 {
+            SeqListRepr::Inline { len, seqs } => &seqs[..*len as usize],
+            SeqListRepr::Heap(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a SeqList {
+    type Item = &'a u16;
+    type IntoIter = std::slice::Iter<'a, u16>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<u16>> for SeqList {
+    /// Keeps the seqs in the order given (snapshot decoding hands over
+    /// the list as it was written).
+    fn from(v: Vec<u16>) -> Self {
+        match InlineLen::ALL.get(v.len()) {
+            Some(&len) => {
+                let mut seqs = [0; INLINE_SEQS];
+                seqs[..v.len()].copy_from_slice(&v);
+                SeqList(SeqListRepr::Inline { len, seqs })
+            }
+            None => SeqList(SeqListRepr::Heap(Box::new(v))),
+        }
+    }
+}
+
+impl PartialEq for SeqList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SeqList {}
+
+impl std::fmt::Debug for SeqList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Bounded per-impression duplicate tracker over the `u16` sequence
 /// space.
 ///
@@ -32,19 +166,20 @@ pub struct ServedImpression {
 /// beacon's sequence number is a `u16`, the full space fits in an
 /// 8 KiB bitmap — that is the hard per-impression ceiling. Typical
 /// impressions report a handful of beacons, so the tracker starts as
-/// a small sorted vector (two bytes per seen seq) and only promotes
-/// itself to the dense bitmap past [`SeqSeen::PROMOTE_AT`] entries.
+/// a small sorted list ([`SeqList`]: seven seqs inline, then two bytes
+/// per seq on the heap) and only promotes itself to the dense bitmap
+/// past [`SeqSeen::PROMOTE_AT`] entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeqSeen {
     /// Sorted list of seen sequence numbers (small impressions).
-    Sparse(Vec<u16>),
+    Sparse(SeqList),
     /// Dense bitmap over the whole `u16` space (chatty impressions).
     Dense(Box<[u64; 1024]>),
 }
 
 impl Default for SeqSeen {
     fn default() -> Self {
-        SeqSeen::Sparse(Vec::new())
+        SeqSeen::Sparse(SeqList::default())
     }
 }
 
@@ -165,11 +300,46 @@ pub struct ApplyOutcome {
     pub first_measured_us: u64,
 }
 
+/// A served row as the table holds it: the [`ServedImpression`]
+/// without its id, which is the row's key.
+#[derive(Debug, Clone, Copy)]
+struct ServedRow {
+    campaign_id: u32,
+    os: OsKind,
+    browser: BrowserKind,
+    site_type: SiteType,
+    ad_format: AdFormat,
+}
+
+impl ServedRow {
+    fn of(s: &ServedImpression) -> Self {
+        ServedRow {
+            campaign_id: s.campaign_id,
+            os: s.os,
+            browser: s.browser,
+            site_type: s.site_type,
+            ad_format: s.ad_format,
+        }
+    }
+
+    fn with_id(self, impression_id: u64) -> ServedImpression {
+        ServedImpression {
+            impression_id,
+            campaign_id: self.campaign_id,
+            os: self.os,
+            browser: self.browser,
+            site_type: self.site_type,
+            ad_format: self.ad_format,
+        }
+    }
+}
+
 /// One row of the store: a served impression and, once a beacon for it
-/// has been applied, its measurement record.
+/// has been applied, its measurement record — 64 bytes, no heap
+/// allocation until an impression reports more than seven seqs.
 #[derive(Debug)]
 struct Slot {
-    served: ServedImpression,
+    served: ServedRow,
     record: Option<ImpressionRecord>,
 }
 
@@ -208,11 +378,12 @@ impl ImpressionStore {
     /// Registering an id again replaces its served row and keeps its
     /// measurement record.
     pub fn record_served(&mut self, s: ServedImpression) {
+        let served = ServedRow::of(&s);
         match self.slots.entry(s.impression_id) {
-            Entry::Occupied(mut e) => e.get_mut().served = s,
+            Entry::Occupied(mut e) => e.get_mut().served = served,
             Entry::Vacant(e) => {
                 e.insert(Slot {
-                    served: s,
+                    served,
                     record: None,
                 });
             }
@@ -229,9 +400,12 @@ impl ImpressionStore {
         self.orphan_beacons
     }
 
-    /// The served log entry for an impression.
-    pub fn served(&self, impression_id: u64) -> Option<&ServedImpression> {
-        self.slots.get(&impression_id).map(|s| &s.served)
+    /// The served log entry for an impression, rebuilt from its row
+    /// (the row does not repeat the id it is keyed by).
+    pub fn served(&self, impression_id: u64) -> Option<ServedImpression> {
+        self.slots
+            .get(&impression_id)
+            .map(|s| s.served.with_id(impression_id))
     }
 
     /// The measurement record for an impression (if any beacon arrived).
@@ -240,11 +414,14 @@ impl ImpressionStore {
     }
 
     /// Iterates `(served, record)` pairs; `record` is `None` when no
-    /// beacon ever arrived for the impression.
+    /// beacon ever arrived for the impression. Each served entry is
+    /// rebuilt from its row and key, as in [`ImpressionStore::served`].
     pub fn iter_joined(
         &self,
-    ) -> impl Iterator<Item = (&ServedImpression, Option<&ImpressionRecord>)> {
-        self.slots.values().map(|s| (&s.served, s.record.as_ref()))
+    ) -> impl Iterator<Item = (ServedImpression, Option<&ImpressionRecord>)> {
+        self.slots
+            .iter()
+            .map(|(&id, s)| (s.served.with_id(id), s.record.as_ref()))
     }
 
     /// Unique beacons applied so far (duplicates excluded). Together
@@ -512,6 +689,48 @@ mod tests {
         assert_eq!(store.total_duplicates(), 9_999);
         assert!(store.contains_seq(8, 0));
         assert!(!store.contains_seq(8, 1));
+    }
+
+    #[test]
+    fn row_layout_stays_packed() {
+        assert_eq!(std::mem::size_of::<SeqList>(), 16);
+        assert_eq!(std::mem::size_of::<SeqSeen>(), 16);
+        assert_eq!(std::mem::size_of::<ServedRow>(), 8);
+        assert!(std::mem::size_of::<Slot>() <= 64);
+    }
+
+    #[test]
+    fn seq_list_moves_to_the_heap_at_the_eighth_seq() {
+        let mut list = SeqList::default();
+        for (i, seq) in [70u16, 10, 50, 30, 60, 20, 40].into_iter().enumerate() {
+            let pos = list.binary_search(&seq).unwrap_err();
+            list.insert(pos, seq);
+            assert_eq!(list.len(), i + 1);
+            assert!(matches!(list.0, SeqListRepr::Inline { .. }));
+        }
+        assert_eq!(*list, [10, 20, 30, 40, 50, 60, 70]);
+        list.insert(0, 5);
+        assert!(matches!(list.0, SeqListRepr::Heap(_)));
+        assert_eq!(*list, [5, 10, 20, 30, 40, 50, 60, 70]);
+        // Equality and the snapshot decode path see contents only.
+        let rebuilt = SeqList::from(list.to_vec());
+        assert_eq!(rebuilt, list);
+        let seven = SeqList::from(list[..7].to_vec());
+        assert!(matches!(seven.0, SeqListRepr::Inline { .. }));
+        assert_ne!(seven, list);
+    }
+
+    #[test]
+    fn served_rows_are_rebuilt_with_their_key() {
+        let mut store = ImpressionStore::new();
+        store.record_served(served(7));
+        let mut again = served(7);
+        again.campaign_id = 9;
+        store.record_served(again.clone());
+        assert_eq!(store.served(7), Some(again.clone()));
+        assert_eq!(store.served(8), None);
+        let joined: Vec<_> = store.iter_joined().map(|(s, _)| s).collect();
+        assert_eq!(joined, [again]);
     }
 
     #[test]

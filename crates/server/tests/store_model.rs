@@ -205,7 +205,11 @@ fn assert_agrees(store: &ImpressionStore, model: &Model) {
     assert_eq!(store.unique_beacons(), model.unique);
     assert_eq!(store.total_duplicates(), model.duplicates);
     for id in SERVABLE.chain(NEVER_SERVED) {
-        assert_eq!(store.served(id), model.served.get(&id), "impression {id}");
+        assert_eq!(
+            store.served(id),
+            model.served.get(&id).cloned(),
+            "impression {id}"
+        );
         let want = model.records.get(&id);
         match (store.record(id), want) {
             (Some(got), Some(want)) => assert_record_matches(id, got, want),

@@ -440,7 +440,7 @@ impl DurableBackend {
         let mut j = inner.journals[shard].lock();
         let epoch = j.writer.epoch() + 1;
 
-        let mut served: Vec<ServedImpression> = st.iter_joined().map(|(s, _)| s.clone()).collect();
+        let mut served: Vec<ServedImpression> = st.iter_joined().map(|(s, _)| s).collect();
         served.sort_by_key(|s| s.impression_id);
         let mut records: Vec<(u64, qtag_server::ImpressionRecord)> = st
             .iter_joined()

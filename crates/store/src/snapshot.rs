@@ -226,7 +226,7 @@ fn get_seen(c: &mut Cursor) -> io::Result<SeqSeen> {
             for _ in 0..n {
                 v.push(c.u16()?);
             }
-            Ok(SeqSeen::Sparse(v))
+            Ok(SeqSeen::Sparse(v.into()))
         }
         1 => {
             let mut bits = Box::new([0u64; 1024]);
@@ -403,10 +403,12 @@ pub fn read_snapshot(dir: &Path, shard: usize) -> io::Result<Option<ShardSnapsho
 mod tests {
     use super::*;
     use crate::test_dir;
+    use proptest::prelude::*;
     use qtag_server::ImpressionStore;
+    use std::collections::BTreeSet;
 
     fn sample() -> ShardSnapshot {
-        let mut dense = SeqSeen::Sparse(Vec::new());
+        let mut dense = SeqSeen::default();
         for s in 0..200u16 {
             dense.insert(s * 3);
         }
@@ -499,6 +501,81 @@ mod tests {
         std::fs::write(&path, &good[..good.len() / 3]).unwrap();
         assert!(read_snapshot(&dir, 0).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The bytes a record's tracker must encode to, built from the
+    /// model set alone: the sorted list (kind 0) while the tracker may
+    /// still be sparse, the bitmap (kind 1) once it holds more than
+    /// [`SeqSeen::PROMOTE_AT`] seqs.
+    fn reference_seen(model: &BTreeSet<u16>) -> Vec<u8> {
+        let mut out = Vec::new();
+        if model.len() <= SeqSeen::PROMOTE_AT {
+            out.push(0);
+            out.extend_from_slice(&(model.len() as u32).to_be_bytes());
+            for s in model {
+                out.extend_from_slice(&s.to_be_bytes());
+            }
+        } else {
+            let mut bits = [0u64; 1024];
+            for &s in model {
+                bits[usize::from(s) / 64] |= 1 << (s % 64);
+            }
+            out.push(1);
+            for w in bits {
+                out.extend_from_slice(&w.to_be_bytes());
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// Insert streams of up to 60 seqs, about one in eight a repeat
+        /// and half of them 56 or longer, cross both of the tracker's
+        /// boundaries: inline → heap at the 8th distinct seq (230 of the
+        /// 256 cases) and sparse → dense at the 49th (118 of them). At
+        /// every step the tracker agrees with a set, and a record holding
+        /// it encodes to the reference bytes and decodes back to itself.
+        #[test]
+        fn seq_tracker_matches_a_set_across_its_boundaries(
+            steps in prop_oneof![
+                prop::collection::vec((0u8..8, any::<u16>(), any::<u32>()), 0..=60usize),
+                prop::collection::vec((0u8..8, any::<u16>(), any::<u32>()), 56..=60usize),
+            ]
+        ) {
+            const FIXED: usize = 1 + 4 + 8 + 2 + 2 + 4 + 8; // flags … first_measured
+            let mut rec = ImpressionRecord::default();
+            let mut model = BTreeSet::new();
+            let mut history = Vec::new();
+            for (kind, fresh, pick) in steps {
+                let seq = match kind {
+                    0 if !history.is_empty() => history[pick as usize % history.len()],
+                    _ => fresh,
+                };
+                history.push(seq);
+                prop_assert_eq!(rec.seen.insert(seq), model.insert(seq), "insert {}", seq);
+                prop_assert_eq!(rec.seen.len(), model.len());
+                prop_assert_eq!(rec.seen.is_empty(), model.is_empty());
+                for &probe in &history {
+                    prop_assert!(rec.seen.contains(probe));
+                }
+                for probe in [0, 1, seq.wrapping_add(1), seq.wrapping_sub(1), u16::MAX] {
+                    prop_assert_eq!(rec.seen.contains(probe), model.contains(&probe));
+                }
+                prop_assert_eq!(
+                    matches!(rec.seen, SeqSeen::Dense(_)),
+                    model.len() > SeqSeen::PROMOTE_AT
+                );
+
+                let mut bytes = Vec::new();
+                put_record(&mut bytes, &rec);
+                prop_assert_eq!(&bytes[FIXED..], &reference_seen(&model)[..]);
+                let back = get_record(&mut Cursor { data: &bytes, off: 0 }).unwrap();
+                prop_assert_eq!(&back, &rec);
+                let mut again = Vec::new();
+                put_record(&mut again, &back);
+                prop_assert_eq!(again, bytes);
+            }
+        }
     }
 
     #[test]

@@ -173,14 +173,24 @@ fn beacon(id: u64, seq: u16) -> Beacon {
     }
 }
 
+/// This process's root for [`scratch_dir`]: one directory to remove
+/// once the check ends, whatever the executions it abandoned left.
+fn scratch_root() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("qtag-store-model-{}", std::process::id()))
+}
+
 /// Fresh scratch directory per execution (the checker re-runs the
 /// closure once per schedule; a process-wide std counter is invisible
 /// to the scheduler, so directory names never perturb exploration).
+/// Whatever already sits at the path — left by an earlier process that
+/// had the same pid — is removed first, so every execution opens an
+/// empty directory.
 fn scratch_dir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("qtag-store-model-{}-{n}", std::process::id()));
+    let dir = scratch_root().join(n.to_string());
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
@@ -242,6 +252,9 @@ fn concurrent_appliers_conserve_and_recover() {
         drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     });
+    // Executions the checker abandoned mid-schedule never reached the
+    // removal above.
+    let _ = std::fs::remove_dir_all(scratch_root());
     assert!(report.complete, "schedules: {}", report.schedules);
     assert!(
         report.races > 0,
