@@ -12,7 +12,8 @@
 //!   hot path), the two checksum kernels, and one WAL beacon encode
 //!   (the shard journal's hot path).
 //! * `store/apply_group_700` — one shard applier's loop without the
-//!   threads: lock the shard, apply a 700-beacon group, journal it.
+//!   threads: lock the shard, apply a 700-beacon group with the
+//!   store's group apply, journal it.
 //! * `store/recover_2_shards` — one recovery of a 2-shard store
 //!   holding what an `ingest_durable` block journals.
 //! * `store/footprint_{200k,2m}` — resident bytes per impression of a
@@ -219,7 +220,7 @@ fn bench_store(c: &mut Criterion) {
             n += GROUP as u64;
             let mut st = shard.lock();
             outcomes.clear();
-            outcomes.extend(batch.iter().map(|b| st.apply(b)));
+            st.apply_group(&batch, &mut outcomes);
             journal.append_beacons(0, &batch, &outcomes);
             outcomes.len()
         })
@@ -263,7 +264,8 @@ fn bench_recover(c: &mut Criterion) {
     let mut groups: Vec<Vec<Beacon>> = (0..SHARDS).map(|_| Vec::with_capacity(GROUP)).collect();
     let flush = |shard: usize, batch: &mut Vec<Beacon>| {
         let mut st = store.shard(shard).lock();
-        let outcomes: Vec<_> = batch.iter().map(|b| st.apply(b)).collect();
+        let mut outcomes = Vec::with_capacity(batch.len());
+        st.apply_group(batch, &mut outcomes);
         journal.append_beacons(shard, batch, &outcomes);
         batch.clear();
     };
@@ -391,6 +393,7 @@ fn bench_footprint(c: &mut Criterion) {
                 let exe = std::env::current_exe().expect("own path");
                 let out = std::process::Command::new(exe)
                     .arg(&name)
+                    .args(std::env::args().skip(1).filter(|a| a == "--test"))
                     .output()
                     .expect("run the footprint child");
                 assert!(out.status.success(), "footprint child failed");

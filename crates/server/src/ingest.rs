@@ -424,8 +424,7 @@ impl IngestService {
                 // Span timestamps are µs since this applier started;
                 // the metrics layer never reads a clock itself.
                 let epoch = Instant::now();
-                // Outcome scratch, reused across groups (journal path
-                // only — the in-memory path never allocates it).
+                // Outcome scratch, reused across groups.
                 let mut outcomes: Vec<ApplyOutcome> = Vec::new();
                 while let Ok(batch) = brx.recv() {
                     // ordering: Acquire pairs with the Release store in
@@ -464,14 +463,10 @@ impl IngestService {
                         // matching the durable backend's compaction
                         // path, so the pair cannot deadlock.
                         let mut store = shard.lock();
+                        outcomes.clear();
+                        store.apply_group(&batch, &mut outcomes);
                         if let Some(j) = &journal {
-                            outcomes.clear();
-                            outcomes.extend(batch.iter().map(|b| store.apply(b)));
                             j.append_beacons(s, &batch, &outcomes);
-                        } else {
-                            for b in &batch {
-                                store.apply(b);
-                            }
                         }
                     }
                     if let Some(m) = &metrics {

@@ -494,11 +494,32 @@ impl ImpressionStore {
         }
     }
 
-    /// Applies many beacons.
-    pub fn apply_all<'a>(&mut self, beacons: impl IntoIterator<Item = &'a Beacon>) {
-        for b in beacons {
-            self.apply(b);
+    /// Applies a group of beacons in order and appends one outcome per
+    /// beacon to `outcomes` — the same outcomes, and the same store,
+    /// as calling [`ImpressionStore::apply`] on each in turn. A
+    /// [`ImpressionStore::read_ahead`] over the group's ids goes
+    /// first, so the group's row misses overlap instead of each apply
+    /// waiting for its own.
+    pub fn apply_group(&mut self, group: &[Beacon], outcomes: &mut Vec<ApplyOutcome>) {
+        self.read_ahead(group.iter().map(|b| b.impression_id));
+        outcomes.extend(group.iter().map(|b| self.apply(b)));
+    }
+
+    /// Reads the rows of `ids` and changes nothing. Each lookup is
+    /// short and independent of the others, so the core keeps many of
+    /// their cache misses in flight at once, where an apply's longer
+    /// body holds it to about one; the rows are then warm for the
+    /// in-order applies that follow. Unknown ids cost a probe and no
+    /// more.
+    pub fn read_ahead(&self, ids: impl IntoIterator<Item = u64>) {
+        let mut touched = 0u64;
+        for id in ids {
+            if let Some(slot) = self.slots.get(&id) {
+                touched ^= slot.record.as_ref().map_or(0, |r| r.first_measured_us);
+            }
         }
+        // Keeps the loads: nothing else reads what they fetched.
+        std::hint::black_box(touched);
     }
 
     /// Restores one impression's measurement record verbatim, without

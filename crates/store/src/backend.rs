@@ -47,7 +47,11 @@
 //! stderr, and *not* propagated into the apply path: the in-memory
 //! store stays correct and serving, durability degrades. Panicking in
 //! a shard applier would instead wedge the ingest service's shutdown
-//! drain — availability-first, like the rest of the pipeline.
+//! drain — availability-first, like the rest of the pipeline. The
+//! writer rewinds a failed write to its last whole frame, so later
+//! batches still replay; a writer that cannot rewind is poisoned, and
+//! the records of every batch it then refuses are counted
+//! (`records_unjournaled`) until compaction replaces its log.
 
 use crate::record::{encode_ack, encode_beacon, encode_served, WalRecord};
 use crate::rollup::{ShardRollup, HOURS_PER_DAY};
@@ -195,6 +199,13 @@ impl DurableInner {
         framed: &[u8],
         records: usize,
     ) {
+        if j.writer.is_poisoned() {
+            // ordering: Relaxed — monotone counter.
+            self.stats
+                .records_unjournaled
+                .fetch_add(records as u64, Ordering::Relaxed);
+            return;
+        }
         let syncs = j.writer.syncs_for(records);
         match j.writer.append(framed, records) {
             Ok(()) => {
@@ -693,6 +704,13 @@ fn recover_shard(dir: &Path, shards: usize, shard: usize) -> io::Result<ShardRec
             let mut batch = Vec::with_capacity(APPLY_BATCH);
             while wal.next_records(&mut batch, APPLY_BATCH)? > 0 {
                 report.records_replayed += batch.len() as u64;
+                // The batch's beacon rows are read before any of it is
+                // replayed, as the shard applier does per group (see
+                // `ImpressionStore::apply_group`).
+                st.read_ahead(batch.iter().filter_map(|rec| match rec {
+                    WalRecord::Beacon(b) => Some(b.impression_id),
+                    _ => None,
+                }));
                 for rec in batch.drain(..) {
                     match rec {
                         WalRecord::Served(s) => {
@@ -765,5 +783,92 @@ fn flusher_loop(inner: crate::sync::Weak<DurableInner>) {
         if !any {
             thread::sleep(Duration::from_millis(1));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_dir;
+    use qtag_wire::{AdFormat, BrowserKind, EventKind, OsKind, SiteType};
+
+    fn served(id: u64) -> ServedImpression {
+        ServedImpression {
+            impression_id: id,
+            campaign_id: 3,
+            os: OsKind::Android,
+            browser: BrowserKind::Chrome,
+            site_type: SiteType::Browser,
+            ad_format: AdFormat::Display,
+        }
+    }
+
+    fn beacon(id: u64, seq: u16) -> Beacon {
+        Beacon {
+            impression_id: id,
+            campaign_id: 3,
+            event: EventKind::Measurable,
+            timestamp_us: 1_000 * u64::from(seq),
+            ad_format: AdFormat::Display,
+            visible_fraction_milli: 700,
+            exposure_ms: 1_100,
+            os: OsKind::Android,
+            browser: BrowserKind::Chrome,
+            site_type: SiteType::Browser,
+            seq,
+        }
+    }
+
+    #[test]
+    fn a_poisoned_log_counts_what_it_refuses_until_compaction() {
+        let dir = test_dir("backend_poisoned");
+        let config = DurableConfig {
+            dir: dir.clone(),
+            shards: 1,
+            sync: SyncPolicy::NoSync,
+        };
+        let (backend, _) = DurableBackend::open(config.clone()).unwrap();
+        backend.record_served(served(1));
+        backend.apply(&beacon(1, 0));
+        {
+            let mut j = backend.inner.journals[0].lock();
+            j.writer.tear_next_write = Some(5);
+            j.writer.fail_next_rewind = true;
+        }
+        backend.apply(&beacon(1, 1));
+        journal_group(&backend, &[beacon(1, 2), beacon(1, 3)]);
+        let stats = backend.stats().snapshot();
+        assert_eq!(stats.io_errors, 1, "the torn append");
+        assert_eq!(stats.records_unjournaled, 2, "the group refused after it");
+        assert_eq!(stats.records_appended, 2);
+        assert_eq!(
+            backend.store().unique_beacons(),
+            4,
+            "the store kept serving"
+        );
+
+        // Compaction snapshots all four beacons and replaces the log.
+        backend.compact().unwrap();
+        backend.apply(&beacon(1, 4));
+        assert_eq!(backend.stats().snapshot().records_unjournaled, 2);
+        drop(backend);
+        let (recovered, report) = DurableBackend::open(config).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(recovered.store().unique_beacons(), 5);
+        assert_eq!(recovered.store().verdict(1), (true, false));
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Applies and journals `group` on shard 0 as an ingest applier
+    /// does.
+    fn journal_group(backend: &DurableBackend, group: &[Beacon]) {
+        let mut st = backend.store().shard(0).lock();
+        let mut outcomes = Vec::new();
+        st.apply_group(group, &mut outcomes);
+        backend
+            .journal()
+            .unwrap()
+            .append_beacons(0, group, &outcomes);
     }
 }

@@ -55,6 +55,7 @@ qtag_obs::counters! {
         bytes_appended: counter("WAL bytes appended (frames, excluding headers)."),
         fsyncs: counter("fsync calls issued by the sync policy."),
         io_errors: counter("WAL append failures (journaling degraded, store still serving)."),
+        records_unjournaled: counter("Records applied but refused by a WAL left poisoned by a failed append it could not rewind."),
         records_recovered: counter("WAL records replayed during recovery."),
         truncated_records: counter("Torn/corrupt WAL tails truncated during recovery."),
         snapshots_loaded: counter("Shard snapshots loaded during recovery."),

@@ -311,8 +311,21 @@ pub struct WalWriter {
     shard: u16,
     epoch: u64,
     policy: SyncPolicy,
-    /// Bytes currently in the file (header + records).
+    /// Bytes currently in the file (header + records): the end of the
+    /// last whole frame, where the next append starts.
     len: u64,
+    /// A failed append could not be rewound to `len`, so the file may
+    /// end in a torn frame. Replay stops there, so nothing appended
+    /// behind it could ever be recovered: every later append is
+    /// refused.
+    poisoned: bool,
+    /// Test seam: the next write puts this many bytes of its frames in
+    /// the file and then fails.
+    #[cfg(test)]
+    pub(crate) tear_next_write: Option<usize>,
+    /// Test seam: the next rewind fails.
+    #[cfg(test)]
+    pub(crate) fail_next_rewind: bool,
 }
 
 impl WalWriter {
@@ -357,6 +370,11 @@ impl WalWriter {
             epoch,
             policy,
             len,
+            poisoned: false,
+            #[cfg(test)]
+            tear_next_write: None,
+            #[cfg(test)]
+            fail_next_rewind: false,
         })
     }
 
@@ -381,11 +399,28 @@ impl WalWriter {
     /// [`SyncPolicy::Record`] accounting — the bytes land in one
     /// `write_all` either way (frames are self-delimiting, so batch
     /// writes and record writes are indistinguishable on replay).
+    ///
+    /// A write that fails part-way is rewound: the file is cut back to
+    /// the end of the last whole frame and the cursor put there, so the
+    /// next batch lands on a frame boundary and replays. If the rewind
+    /// fails too, the writer is poisoned and refuses every later batch
+    /// (see [`WalWriter::is_poisoned`]).
     pub fn append(&mut self, framed: &[u8], records: usize) -> io::Result<()> {
         if framed.is_empty() {
             return Ok(());
         }
-        self.file.write_all(framed)?;
+        if self.poisoned {
+            return Err(io::Error::other(format!(
+                "{}: log ends in a torn frame that could not be cut off",
+                self.path.display()
+            )));
+        }
+        if let Err(e) = self.write_frames(framed) {
+            if self.rewind().is_err() {
+                self.poisoned = true;
+            }
+            return Err(e);
+        }
         self.len += framed.len() as u64;
         match self.policy {
             SyncPolicy::NoSync => {}
@@ -404,6 +439,33 @@ impl WalWriter {
             }
         }
         Ok(())
+    }
+
+    /// `true` once a failed append could not be rewound: the log may
+    /// end in a torn frame, and [`WalWriter::append`] refuses every
+    /// batch until compaction replaces the log.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned
+    }
+
+    fn write_frames(&mut self, framed: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(n) = self.tear_next_write.take() {
+            self.file.write_all(&framed[..n])?;
+            return Err(io::Error::other("torn append (test seam)"));
+        }
+        self.file.write_all(framed)
+    }
+
+    /// Cuts the file back to `len`, the end of the last whole frame,
+    /// and puts the cursor there.
+    fn rewind(&mut self) -> io::Result<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_rewind) {
+            return Err(io::Error::other("failed rewind (test seam)"));
+        }
+        self.file.set_len(self.len)?;
+        self.file.seek(SeekFrom::Start(self.len)).map(drop)
     }
 
     /// Forces everything appended so far to stable storage regardless
@@ -444,6 +506,7 @@ impl WalWriter {
         self.file = f;
         self.epoch = epoch;
         self.len = WAL_HEADER_LEN as u64;
+        self.poisoned = false;
         Ok(())
     }
 }
@@ -551,6 +614,79 @@ mod tests {
         assert!(r2.torn.is_none());
         assert_eq!(r2.records.len(), 4);
         assert_eq!(r2.records[3], WalRecord::Beacon(beacon(1, 9)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_append_is_rewound_to_the_last_whole_frame() {
+        let dir = test_dir("wal_torn_append");
+        let mut w = WalWriter::open(&dir, 0, 0, None, SyncPolicy::NoSync).unwrap();
+        let frames = |seqs: std::ops::Range<u16>| {
+            let mut framed = Vec::new();
+            for seq in seqs {
+                encode_beacon(&beacon(4, seq), &mut framed);
+            }
+            framed
+        };
+        w.append(&frames(0..4), 4).unwrap();
+        let good = w.len();
+
+        // Half of the next frame reaches the file, then the write fails.
+        let torn = frames(4..5);
+        w.tear_next_write = Some(torn.len() / 2);
+        assert!(w.append(&torn, 1).is_err());
+        assert!(!w.is_poisoned());
+        assert_eq!(w.len(), good);
+        assert_eq!(std::fs::metadata(wal_path(&dir, 0)).unwrap().len(), good);
+
+        w.append(&frames(5..10), 5).unwrap();
+        drop(w);
+        let r = replay(&wal_path(&dir, 0)).unwrap();
+        assert!(
+            r.torn.is_none(),
+            "the next batch starts on a frame boundary"
+        );
+        let seqs: Vec<u16> = r
+            .records
+            .iter()
+            .map(|rec| match rec {
+                WalRecord::Beacon(b) => b.seq,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 5, 6, 7, 8, 9]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_writer_that_cannot_rewind_refuses_until_the_log_is_replaced() {
+        let dir = test_dir("wal_poisoned");
+        let mut w = WalWriter::open(&dir, 0, 2, None, SyncPolicy::NoSync).unwrap();
+        let mut framed = Vec::new();
+        encode_beacon(&beacon(6, 0), &mut framed);
+        w.append(&framed, 1).unwrap();
+        w.tear_next_write = Some(3);
+        w.fail_next_rewind = true;
+        assert!(w.append(&framed, 1).is_err());
+        assert!(w.is_poisoned());
+        let torn_len = std::fs::metadata(wal_path(&dir, 0)).unwrap().len();
+        assert!(w.append(&framed, 1).is_err(), "a poisoned writer refuses");
+        assert_eq!(
+            std::fs::metadata(wal_path(&dir, 0)).unwrap().len(),
+            torn_len,
+            "and writes nothing"
+        );
+        let r = replay(&wal_path(&dir, 0)).unwrap();
+        assert_eq!(r.records.len(), 1);
+        assert_eq!(r.torn, Some(RecordError::Truncated));
+
+        w.reset_to_epoch(3).unwrap();
+        assert!(!w.is_poisoned());
+        w.append(&framed, 1).unwrap();
+        drop(w);
+        let r = replay(&wal_path(&dir, 0)).unwrap();
+        assert_eq!(r.header.epoch, 3);
+        assert_eq!(r.records, vec![WalRecord::Beacon(beacon(6, 0))]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -356,6 +356,30 @@ impl JitterRng {
     }
 }
 
+/// The delay before attempt `attempts` of a frame: exponential from
+/// `cfg.backoff_base_us`, capped at `cfg.backoff_max_us`, stretched by
+/// up to `cfg.jitter` of itself. A function of the sender's fields
+/// rather than a method, so a caller can hold a pending frame while
+/// it draws the next jitter value.
+fn backoff_us(
+    cfg: &SenderConfig,
+    jitter: &mut JitterRng,
+    metrics: Option<&SenderMetrics>,
+    attempts: u32,
+) -> u64 {
+    let exp = attempts.saturating_sub(1).min(16);
+    let base = cfg
+        .backoff_base_us
+        .saturating_mul(1u64 << exp)
+        .min(cfg.backoff_max_us);
+    let stretch = 1.0 + cfg.jitter * jitter.next_f64();
+    let chosen = (base as f64 * stretch) as u64;
+    if let Some(m) = metrics {
+        m.backoff_us.record(chosen);
+    }
+    chosen
+}
+
 /// The reliable sender: a bounded retry queue in front of a
 /// [`Transport`].
 ///
@@ -458,21 +482,6 @@ impl<T: Transport> BeaconSender<T> {
         Ok(true)
     }
 
-    fn backoff_us(&mut self, attempts: u32) -> u64 {
-        let exp = attempts.saturating_sub(1).min(16);
-        let base = self
-            .cfg
-            .backoff_base_us
-            .saturating_mul(1u64 << exp)
-            .min(self.cfg.backoff_max_us);
-        let stretch = 1.0 + self.cfg.jitter * self.jitter.next_f64();
-        let chosen = (base as f64 * stretch) as u64;
-        if let Some(m) = &self.metrics {
-            m.backoff_us.record(chosen);
-        }
-        chosen
-    }
-
     /// Drives the state machine: reconnects, expires ack waits, writes
     /// due frames, then drains acks. Writing before waiting means the
     /// transport's poll (which may block briefly) waits for replies to
@@ -495,97 +504,92 @@ impl<T: Transport> BeaconSender<T> {
         }
 
         // Expire ack waits (clock-driven, works even while offline).
-        let ack_retry: Vec<AckKey> = self
-            .pending
-            .iter()
-            .filter_map(|(k, f)| match f.state {
-                FrameState::AwaitingAck { deadline_us } if deadline_us <= now_us => Some(*k),
-                _ => None,
-            })
-            .collect();
-        for key in ack_retry {
-            self.stats.ack_timeouts += 1;
-            let attempts = self.pending[&key].attempts;
-            let due_us = now_us + self.backoff_us(attempts.saturating_add(1));
-            let frame = self.pending.get_mut(&key).expect("frame pending");
-            // A fully-written frame is never dropped at the cap: it
-            // might have been applied, so forgetting it would break
-            // the exact conservation identity. It retries at the
-            // backoff ceiling until acked or abandoned.
-            frame.state = FrameState::Queued { due_us };
+        let metrics = self.metrics.as_deref();
+        for frame in self.pending.values_mut() {
+            if matches!(frame.state, FrameState::AwaitingAck { deadline_us } if deadline_us <= now_us)
+            {
+                self.stats.ack_timeouts += 1;
+                // A fully-written frame is never dropped at the cap: it
+                // might have been applied, so forgetting it would break
+                // the exact conservation identity. It retries at the
+                // backoff ceiling until acked or abandoned.
+                let backoff = backoff_us(
+                    &self.cfg,
+                    &mut self.jitter,
+                    metrics,
+                    frame.attempts.saturating_add(1),
+                );
+                frame.state = FrameState::Queued {
+                    due_us: now_us + backoff,
+                };
+            }
         }
 
-        // Write due frames in arrival order.
+        // Write due frames in arrival order. Offline, frames coming due
+        // still consume attempts, so the retry cap can fire for
+        // never-written frames while the collector is unreachable.
         let mut written = 0u64;
-        if self.connected {
-            let due: Vec<AckKey> = self
-                .order
-                .iter()
-                .filter(|k| {
-                    self.pending
-                        .get(k)
-                        .map(|f| matches!(f.state, FrameState::Queued { due_us } if due_us <= now_us))
-                        .unwrap_or(false)
-                })
-                .copied()
-                .collect();
-            for key in due {
-                let bytes = {
-                    let frame = self.pending.get_mut(&key).expect("frame pending");
-                    frame.attempts += 1;
-                    if frame.attempts > 1 {
-                        self.stats.retransmits += 1;
-                        if let Some(m) = &self.metrics {
-                            m.retransmits.inc();
-                        }
-                    }
-                    frame.bytes.clone()
-                };
-                match self.transport.send_frame(&bytes) {
-                    Ok(()) => {
-                        written += 1;
-                        self.stats.frames_written += 1;
-                        let frame = self.pending.get_mut(&key).expect("frame pending");
-                        frame.ever_written = true;
-                        frame.sent_at_us = now_us;
-                        frame.state = FrameState::AwaitingAck {
-                            deadline_us: now_us + self.cfg.ack_timeout_us,
-                        };
-                    }
-                    Err(_) => {
-                        self.fail_attempt(key, now_us);
-                        self.mark_disconnected(now_us);
-                        break;
+        let mut send_failed = false;
+        for key in &self.order {
+            let Some(frame) = self.pending.get_mut(key) else {
+                continue;
+            };
+            if !matches!(frame.state, FrameState::Queued { due_us } if due_us <= now_us) {
+                continue;
+            }
+            frame.attempts += 1;
+            if self.connected {
+                if frame.attempts > 1 {
+                    self.stats.retransmits += 1;
+                    if let Some(m) = metrics {
+                        m.retransmits.inc();
                     }
                 }
+                if self.transport.send_frame(&frame.bytes).is_ok() {
+                    written += 1;
+                    self.stats.frames_written += 1;
+                    frame.ever_written = true;
+                    frame.sent_at_us = now_us;
+                    frame.state = FrameState::AwaitingAck {
+                        deadline_us: now_us + self.cfg.ack_timeout_us,
+                    };
+                    continue;
+                }
+                send_failed = true;
             }
-        } else {
-            // Offline: frames coming due still consume attempts, so
-            // the retry cap can fire for never-written frames while
-            // the collector is unreachable.
-            let due: Vec<AckKey> = self
-                .order
-                .iter()
-                .filter(|k| {
-                    self.pending
-                        .get(k)
-                        .map(|f| matches!(f.state, FrameState::Queued { due_us } if due_us <= now_us))
-                        .unwrap_or(false)
-                })
-                .copied()
-                .collect();
-            for key in due {
-                self.pending.get_mut(&key).expect("frame pending").attempts += 1;
-                self.fail_attempt(key, now_us);
+            // A failed attempt: requeue after a backoff, or drop a
+            // frame that was never fully written once it hits the cap.
+            if frame.attempts >= self.cfg.max_attempts && !frame.ever_written {
+                self.pending.remove(key);
+                self.stats.dropped_after_retries += 1;
+                if let Some(m) = metrics {
+                    m.dropped_after_retries.inc();
+                    m.pending.dec();
+                }
+            } else {
+                let backoff = backoff_us(
+                    &self.cfg,
+                    &mut self.jitter,
+                    metrics,
+                    frame.attempts.saturating_add(1),
+                );
+                frame.state = FrameState::Queued {
+                    due_us: now_us + backoff,
+                };
             }
+            if send_failed {
+                break;
+            }
+        }
+        if send_failed {
+            self.mark_disconnected(now_us);
         }
 
         if self.connected {
             self.ack_buf.clear();
             match self.transport.poll_acks(&mut self.ack_buf) {
                 Ok(()) => {
-                    let acks = std::mem::take(&mut self.ack_buf);
-                    for key in &acks {
+                    for key in &self.ack_buf {
                         if let Some(frame) = self.pending.remove(key) {
                             self.stats.acked += 1;
                             if let Some(m) = &self.metrics {
@@ -598,7 +602,6 @@ impl<T: Transport> BeaconSender<T> {
                             }
                         }
                     }
-                    self.ack_buf = acks;
                 }
                 Err(_) => self.mark_disconnected(now_us),
             }
@@ -606,24 +609,6 @@ impl<T: Transport> BeaconSender<T> {
 
         self.order.retain(|k| self.pending.contains_key(k));
         written
-    }
-
-    fn fail_attempt(&mut self, key: AckKey, now_us: u64) {
-        let (attempts, ever_written) = {
-            let f = self.pending.get(&key).expect("frame pending");
-            (f.attempts, f.ever_written)
-        };
-        if attempts >= self.cfg.max_attempts && !ever_written {
-            self.pending.remove(&key);
-            self.stats.dropped_after_retries += 1;
-            if let Some(m) = &self.metrics {
-                m.dropped_after_retries.inc();
-                m.pending.dec();
-            }
-            return;
-        }
-        let due_us = now_us + self.backoff_us(attempts.saturating_add(1));
-        self.pending.get_mut(&key).expect("frame pending").state = FrameState::Queued { due_us };
     }
 
     fn mark_disconnected(&mut self, now_us: u64) {
@@ -1137,7 +1122,9 @@ mod tests {
                     ..SenderConfig::default()
                 },
             );
-            (1..8).map(|a| s.backoff_us(a)).collect::<Vec<_>>()
+            (1..8)
+                .map(|a| backoff_us(&s.cfg, &mut s.jitter, None, a))
+                .collect::<Vec<_>>()
         };
         let a = seq(1);
         let b = seq(1);
