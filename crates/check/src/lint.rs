@@ -35,8 +35,7 @@
 //!   stalls every connection on that worker, so the event loop only
 //!   gets non-blocking reads, cursor-tracked partial writes, and
 //!   `try_recv` hand-offs; sleeps and deadline waits belong to the
-//!   acceptor (`collector.rs`), the poll timeout, or `serve_stream`,
-//!   the reader-thread driver, which owns its thread.
+//!   acceptor (`collector.rs`) or the poll timeout.
 //! - **R6 tick-no-alloc**: render hot-path files (the engine's tick
 //!   loop) must not heap-allocate per frame — `Vec::new`/`vec![`/
 //!   `HashMap::new`/`format!`/`.collect()`/`.resize(`/… are banned
@@ -149,11 +148,6 @@ const REACTOR_BLOCKING_TOKENS: &[&str] = &[
 
 /// Files whose non-test code runs on the reactor's event loop (R5).
 const EVENT_LOOP_FILES: &[&str] = &["/reactor.rs", "/connection.rs"];
-
-/// The one function in those files that owns a thread and may block
-/// it (R5): the reader-thread driver sets the socket timeouts its
-/// blocking reads and writes rely on.
-const BLOCKING_DRIVER_FN: &str = "serve_stream";
 
 /// Names of the unkeyed-hasher map and hasher (R8).
 const FIXED_HASHER_TOKENS: &[&str] = &["IdMap<", "IdHasher"];
@@ -616,7 +610,7 @@ fn check_r5(f: &SourceFile, out: &mut Vec<Finding>) {
             continue;
         }
         for token in REACTOR_BLOCKING_TOKENS {
-            if line.contains(token) && nearest_fn(&f.lines, i) != BLOCKING_DRIVER_FN {
+            if line.contains(token) {
                 out.push(Finding {
                     rule: "R5",
                     path: f.rel.clone(),
@@ -1014,22 +1008,17 @@ mod tests {
         // acceptor blocks by design).
         check_r5(&file("crates/collectd/src/collector.rs", &lines), &mut out);
         assert!(out.is_empty(), "{out:?}");
-        // So are they in the reader-thread driver, and nowhere else in
-        // the file that holds the state machine it drives.
+        // No function in an event-loop file is exempt, whatever it is
+        // named or whichever thread it thinks it owns.
         let mut driver = lines.clone();
-        driver[0] =
-            "pub(crate) fn serve_stream(mut stream: impl ConnStream, ctx: ConnCtx) {".into();
-        check_r5(
-            &file("crates/collectd/src/connection.rs", &driver),
-            &mut out,
-        );
-        assert!(out.is_empty(), "{out:?}");
-        for rel in [
-            "crates/collectd/src/reactor.rs",
-            "crates/collectd/src/connection.rs",
+        driver[0] = "pub(crate) fn blocking_driver(mut stream: TcpStream, ctx: ConnCtx) {".into();
+        for (rel, lines) in [
+            ("crates/collectd/src/reactor.rs", &lines),
+            ("crates/collectd/src/connection.rs", &lines),
+            ("crates/collectd/src/connection.rs", &driver),
         ] {
             out.clear();
-            check_r5(&file(rel, &lines), &mut out);
+            check_r5(&file(rel, lines), &mut out);
             assert_eq!(out.len(), 4, "{out:?}");
             assert!(out.iter().all(|f| f.rule == "R5"));
             assert!(out.iter().any(|f| f.detail.contains("recv")), "{out:?}");

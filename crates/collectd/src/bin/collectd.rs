@@ -3,7 +3,7 @@
 //! ```text
 //! collectd [--bind ADDR] [--max-conns N] [--read-timeout-ms MS]
 //!          [--capacity N] [--shards N]
-//!          [--reactor] [--reactor-workers N] [--ack-buffer-cap BYTES]
+//!          [--reactor-workers N] [--ack-buffer-cap BYTES]
 //!          [--duration-secs S] [--metrics PATH] [--metrics-json PATH]
 //!          [--wal-dir DIR] [--sync none|batch|record]
 //! ```
@@ -21,11 +21,11 @@
 //! `batch`), and the logs fsynced and compacted into fresh snapshots
 //! on graceful exit.
 //!
-//! `--reactor` serves connections on a few epoll event loops instead
-//! of one thread per connection (`--reactor-workers`, default 2) —
-//! the mode for tens of thousands of concurrent sockets.
-//! `--ack-buffer-cap` bounds the per-connection ack backlog towards a
-//! slow acked client before its reads are paused.
+//! Connections are served on a few epoll event loops
+//! (`--reactor-workers`, default 2), so one daemon holds tens of
+//! thousands of concurrent sockets; Linux only. `--ack-buffer-cap`
+//! bounds the per-connection ack backlog towards a slow acked client
+//! before its reads are paused.
 //!
 //! The ops path doubles as the metrics endpoint: while running, a
 //! `metrics` line on stdin prints the live registry as Prometheus text
@@ -42,7 +42,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: collectd [--bind ADDR] [--max-conns N] [--read-timeout-ms MS] \
                      [--capacity N] [--shards N] \
-                     [--reactor] [--reactor-workers N] [--ack-buffer-cap BYTES] \
+                     [--reactor-workers N] [--ack-buffer-cap BYTES] \
                      [--duration-secs S] [--metrics PATH] [--metrics-json PATH] \
                      [--wal-dir DIR] [--sync none|batch|record]";
 
@@ -87,7 +87,6 @@ fn parse_args() -> Result<BinArgs, String> {
             }
             "--capacity" => out.cfg.inlet_capacity = parse(flag, value()?)?,
             "--shards" => out.shards = parse(flag, value()?)?,
-            "--reactor" => out.cfg.reactor = true,
             "--reactor-workers" => out.cfg.reactor_workers = parse(flag, value()?)?,
             "--ack-buffer-cap" => out.cfg.ack_buffer_cap = parse(flag, value()?)?,
             "--duration-secs" => out.duration = Some(Duration::from_secs(parse(flag, value()?)?)),

@@ -1,23 +1,29 @@
-//! The daemon: listener, acceptor thread, connection supervision,
-//! graceful shutdown.
+//! The daemon: listener, acceptor thread, hand-off to the reactor
+//! workers, graceful shutdown.
 
 use crate::config::CollectorConfig;
-use crate::connection::{self, ConnCtx, ConnObs};
-#[cfg(target_os = "linux")]
+use crate::connection::{ConnCtx, ConnObs};
 use crate::reactor::{self, NewConn};
 use crate::stats::{CollectorStats, OpsSnapshot};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::thread::JoinHandle;
 use crate::sync::time::Instant;
 use crate::sync::{thread, Arc};
-#[cfg(target_os = "linux")]
 use crossbeam::channel::{unbounded, Sender};
 use qtag_obs::{Registry, TraceRing};
 use qtag_server::{
     IngestConfig, IngestMetrics, IngestService, IngestStats, ShardJournal, ShardedStore,
 };
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
+
+/// How long a graceful shutdown keeps serving after the flag flips.
+/// The acceptor drains its backlog for at most this long, and each
+/// reactor worker reads its connections to EOF for at most this long.
+/// Without a deadline, clients that keep connecting, or keep a
+/// connection open, would hold shutdown forever.
+pub(crate) const DRAIN_GRACE: Duration = Duration::from_millis(250);
 
 /// A running collector daemon. Start with [`Collector::start_sharded`], stop
 /// with [`Collector::shutdown`] (graceful: drains in-flight frames
@@ -36,9 +42,9 @@ pub struct Collector {
 
 impl Collector {
     /// Binds the listener and spawns the acceptor over a sharded
-    /// store: one applier thread per shard, connection threads hand
-    /// off decoded beacons in per-read-iteration batches routed by
-    /// impression-id hash.
+    /// store: one applier thread per shard; the reactor workers hand
+    /// off decoded beacons in per-read batches routed by impression-id
+    /// hash.
     pub fn start_sharded(cfg: CollectorConfig, store: ShardedStore) -> io::Result<Self> {
         Self::start_sharded_journaled(cfg, store, None)
     }
@@ -158,10 +164,11 @@ impl Collector {
         }
     }
 
-    /// Graceful shutdown, in dependency order: stop accepting, let
-    /// every connection thread drain its socket and decoder, drop the
-    /// beacon senders, then drain the ingestion service so every
-    /// accepted beacon reaches the store. Returns the final counters.
+    /// Graceful shutdown, in dependency order: stop accepting, let the
+    /// reactor workers read every connection to EOF (for at most
+    /// [`DRAIN_GRACE`]) and flush its decoder, drop the beacon senders,
+    /// then drain the ingestion service so every accepted beacon
+    /// reaches the store. Returns the final counters.
     pub fn shutdown(mut self) -> OpsSnapshot {
         self.stop();
         OpsSnapshot {
@@ -179,11 +186,11 @@ impl Collector {
     /// durable state on disk is whatever the journal captured.
     pub fn crash(mut self) -> OpsSnapshot {
         // ordering: Release pairs with the Acquire loads in the accept
-        // loop and connection readers, same as the graceful path.
+        // loop and the reactor workers, same as the graceful path.
         self.shutdown.store(true, Ordering::Release);
         if let Some(ingest) = self.ingest.take() {
             // Abort first: the discard flag is up before the acceptor
-            // join lets connection readers push their last batches.
+            // join lets the workers push their last batches.
             ingest.abort();
         }
         if let Some(acceptor) = self.acceptor.take() {
@@ -197,12 +204,12 @@ impl Collector {
 
     fn stop(&mut self) {
         // ordering: Release pairs with the Acquire loads in the accept
-        // loop and connection readers — a thread that observes the flag
+        // loop and the reactor workers — a thread that observes the flag
         // also observes everything published before the stop began.
         self.shutdown.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
-            // Joins every connection thread too (the acceptor owns
-            // them), and drops the acceptor's inlet clone with it.
+            // Joins the reactor workers too (the acceptor owns them),
+            // and drops the acceptor's inlet clone with it.
             let _ = acceptor.join();
         }
         if let Some(ingest) = self.ingest.take() {
@@ -218,142 +225,25 @@ impl Drop for Collector {
     }
 }
 
-/// Restores the `connections_active` gauge when a reader thread ends,
-/// including when `connection::serve_stream` panics — otherwise a panic would
-/// leak the slot against `max_connections` for the daemon's lifetime.
-struct ActiveGuard(Arc<CollectorStats>);
-
-impl Drop for ActiveGuard {
-    fn drop(&mut self) {
-        // ordering: admission-control gauge; the acceptor's cap check
-        // tolerates a momentarily stale value (briefly over-admitting
-        // by one), and the final read happens after the joins.
-        self.0.connections_active.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The mode-specific half of connection admission: where an accepted,
-/// cap-checked connection goes. The acceptor loop, admission counters,
-/// and shutdown drain are shared between modes; only this differs.
-enum Admitter {
-    /// Classic mode: one blocking reader thread per connection.
-    Threaded { handlers: Vec<JoinHandle<()>> },
-    /// Reactor mode: round-robin hand-off to epoll worker loops.
-    #[cfg(target_os = "linux")]
-    Reactor {
-        txs: Vec<Sender<NewConn>>,
-        workers: Vec<JoinHandle<()>>,
-        next: usize,
-    },
-}
-
-impl Admitter {
-    fn threaded() -> Admitter {
-        Admitter::Threaded {
-            handlers: Vec::new(),
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn reactor(ctx: &ConnCtx) -> Admitter {
-        let n = ctx.cfg.reactor_workers.max(1);
-        let mut txs = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            let cfg = Arc::clone(&ctx.cfg);
-            let shutdown = Arc::clone(&ctx.shutdown);
-            workers.push(thread::spawn(move || {
-                reactor::run_worker(rx, cfg, shutdown)
-            }));
-            txs.push(tx);
-        }
-        Admitter::Reactor {
-            txs,
-            workers,
-            next: 0,
-        }
-    }
-
-    /// Takes ownership of one admitted connection, already counted in
-    /// `connections_accepted` and `connections_active`.
-    fn admit(&mut self, stream: std::net::TcpStream, conn_ctx: ConnCtx) {
-        match self {
-            Admitter::Threaded { handlers } => {
-                handlers.push(thread::spawn(move || {
-                    let _active = ActiveGuard(Arc::clone(&conn_ctx.stats));
-                    connection::serve_stream(stream, conn_ctx);
-                }));
-            }
-            #[cfg(target_os = "linux")]
-            Admitter::Reactor { txs, next, .. } => {
-                let idx = *next % txs.len();
-                *next = next.wrapping_add(1);
-                let stats = Arc::clone(&conn_ctx.stats);
-                if txs[idx]
-                    .send(NewConn {
-                        stream,
-                        ctx: conn_ctx,
-                    })
-                    .is_err()
-                {
-                    // The worker died (epoll setup failure): shed the
-                    // connection and restore the gauge it was counted in.
-                    // ordering: admission gauge, see ActiveGuard.
-                    stats.connections_active.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Reclaims finished per-connection threads (no-op for the
-    /// reactor, whose worker count is fixed).
-    fn reap(&mut self) {
-        if let Admitter::Threaded { handlers } = self {
-            handlers.retain(|h| !h.is_finished());
-        }
-    }
-
-    /// Joins everything the admitter owns. Dropping the reactor
-    /// senders is the workers' signal that no more connections come.
-    fn finish(self) {
-        match self {
-            Admitter::Threaded { handlers } => {
-                for h in handlers {
-                    let _ = h.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Admitter::Reactor { txs, workers, .. } => {
-                drop(txs);
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-        }
-    }
-}
-
 /// Backoff after a failed `accept(2)`. Running out of file
 /// descriptors (EMFILE/ENFILE) cannot be fixed by re-calling accept
 /// faster — back off an order of magnitude to give in-flight
 /// connections a chance to close and release fds; everything else
 /// (e.g. ECONNABORTED) retries at the normal poll cadence.
-fn accept_backoff(e: &io::Error, poll_interval: std::time::Duration) -> std::time::Duration {
+fn accept_backoff(e: &io::Error, poll_interval: Duration) -> Duration {
     const ENFILE: i32 = 23;
     const EMFILE: i32 = 24;
     match e.raw_os_error() {
         Some(EMFILE) | Some(ENFILE) => (poll_interval * 10)
-            .min(std::time::Duration::from_millis(250))
+            .min(Duration::from_millis(250))
             .max(poll_interval),
         _ => poll_interval,
     }
 }
 
 /// Cap-checks and counts an accepted connection, then hands it to the
-/// mode's admitter (reader thread or reactor worker).
-fn supervise(stream: std::net::TcpStream, ctx: &ConnCtx, admitter: &mut Admitter) {
-    admitter.reap();
+/// reactor workers round-robin.
+fn supervise(stream: TcpStream, ctx: &ConnCtx, workers: &[Sender<NewConn>]) {
     let active = ctx.stats.connections_active.load(Ordering::Relaxed);
     if active >= ctx.cfg.max_connections as u64 {
         // Shed the connection whole: close immediately so the client
@@ -366,35 +256,53 @@ fn supervise(stream: std::net::TcpStream, ctx: &ConnCtx, admitter: &mut Admitter
         return;
     }
     // ordering: monotone stat; exact reads only after join. The prior
-    // value doubles as the connection's trace correlation id.
+    // value doubles as the connection's trace correlation id and picks
+    // its worker.
     let conn_id = ctx
         .stats
         .connections_accepted
         .fetch_add(1, Ordering::Relaxed);
-    // ordering: admission gauge, only this acceptor thread increments;
-    // see ActiveGuard for the decrement rationale.
+    // ordering: admission gauge. Only this acceptor thread increments
+    // it, and the worker that closes the connection decrements it. The
+    // cap check above tolerates a momentarily stale value (briefly
+    // over-admitting by one), and the exact read happens after the
+    // joins.
     ctx.stats.connections_active.fetch_add(1, Ordering::Relaxed);
     let mut conn_ctx = ctx.clone();
     conn_ctx.obs.conn_id = conn_id;
-    admitter.admit(stream, conn_ctx);
+    if workers[conn_id as usize % workers.len()]
+        .send(NewConn {
+            stream,
+            ctx: conn_ctx,
+        })
+        .is_err()
+    {
+        // The worker died (epoll setup failure): shed the connection
+        // and restore the gauge it was counted in.
+        // ordering: admission gauge, see above.
+        ctx.stats.connections_active.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
-/// Acceptor: non-blocking accept, admission accounting, and graceful
-/// backlog drain — shared by both serving modes via [`Admitter`].
+/// Acceptor: starts the reactor workers, then non-blocking accept,
+/// admission accounting, hand-off, and graceful backlog drain.
 fn accept_loop(listener: TcpListener, ctx: ConnCtx) {
-    #[cfg(target_os = "linux")]
-    let mut admitter = if ctx.cfg.reactor {
-        Admitter::reactor(&ctx)
-    } else {
-        Admitter::threaded()
-    };
-    #[cfg(not(target_os = "linux"))]
-    let mut admitter = Admitter::threaded();
+    let (workers, handles): (Vec<_>, Vec<_>) = (0..ctx.cfg.reactor_workers.max(1))
+        .map(|_| {
+            let (tx, rx) = unbounded();
+            let cfg = Arc::clone(&ctx.cfg);
+            let shutdown = Arc::clone(&ctx.shutdown);
+            (
+                tx,
+                thread::spawn(move || reactor::run_worker(rx, cfg, shutdown)),
+            )
+        })
+        .unzip();
     // ordering: Acquire pairs with the Release store in
     // `Collector::stop`; see the store for the rationale.
     while !ctx.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
-            Ok((stream, _peer)) => supervise(stream, &ctx, &mut admitter),
+            Ok((stream, _peer)) => supervise(stream, &ctx, &workers),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(ctx.cfg.poll_interval);
             }
@@ -411,16 +319,13 @@ fn accept_loop(listener: TcpListener, ctx: ConnCtx) {
     }
     // Shutdown drain: clients that connected (and possibly already
     // sent and closed) before the flag flipped may still sit in the
-    // OS accept backlog. Serve them too — their readers drain any
-    // buffered bytes before exiting — so a graceful shutdown never
-    // strands data behind an unaccepted connection. The drain is
-    // bounded by `DRAIN_GRACE`: without a deadline, clients that keep
-    // connecting during shutdown would be accepted forever.
-    const DRAIN_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
+    // OS accept backlog. Serve them too — the workers read them to EOF
+    // — so a graceful shutdown never strands data behind an
+    // unaccepted connection.
     let drain_deadline = Instant::now() + DRAIN_GRACE;
     while Instant::now() < drain_deadline {
         match listener.accept() {
-            Ok((stream, _peer)) => supervise(stream, &ctx, &mut admitter),
+            Ok((stream, _peer)) => supervise(stream, &ctx, &workers),
             // Backlog empty: the drain is complete.
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             // Any other error (ECONNABORTED, EMFILE, ...) says nothing
@@ -433,7 +338,11 @@ fn accept_loop(listener: TcpListener, ctx: ConnCtx) {
         }
     }
     drop(listener); // stop the OS queueing new connections
-    admitter.finish();
+                    // Dropping the senders tells the workers no more connections come.
+    drop(workers);
+    for h in handles {
+        let _ = h.join();
+    }
 }
 
 #[cfg(test)]
@@ -465,20 +374,6 @@ mod tests {
         Collector::start_sharded(cfg, ShardedStore::new(1)).expect("bind localhost")
     }
 
-    /// Runs a socket-lifecycle scenario once per serving mode, handing
-    /// it the default config with `reactor` set. The two modes share
-    /// one wire protocol and one accounting, so every assertion must
-    /// hold bit-identically in both.
-    fn in_both_modes(scenario: impl Fn(CollectorConfig)) {
-        for reactor in [false, true] {
-            eprintln!("serving mode: reactor={reactor}");
-            scenario(CollectorConfig {
-                reactor,
-                ..CollectorConfig::default()
-            });
-        }
-    }
-
     /// Polls until `done` holds (bounded at 5 s).
     fn wait_until(done: impl Fn() -> bool) {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -489,249 +384,231 @@ mod tests {
 
     #[test]
     fn binary_client_round_trips_through_the_daemon() {
-        in_both_modes(|cfg| {
-            let collector = start(cfg);
-            collector.sharded_store().record_served(served(42));
-            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-            let stream = encode_frames(&[
-                beacon(42, 0, EventKind::Measurable),
-                beacon(42, 1, EventKind::InView),
-            ])
-            .unwrap();
-            sock.write_all(&stream).unwrap();
-            drop(sock);
-            let ops = collector.shutdown();
-            assert_eq!(ops.collector.frames_decoded, 2);
-            assert_eq!(ops.ingest.beacons, 2);
-            assert!(ops.conserves(2), "{ops:?}");
-            assert_eq!(ops.collector.connections_active, 0);
-            assert_eq!(ops.collector.accept_errors, 0);
-        });
+        let collector = start(CollectorConfig::default());
+        collector.sharded_store().record_served(served(42));
+        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+        let stream = encode_frames(&[
+            beacon(42, 0, EventKind::Measurable),
+            beacon(42, 1, EventKind::InView),
+        ])
+        .unwrap();
+        sock.write_all(&stream).unwrap();
+        drop(sock);
+        let ops = collector.shutdown();
+        assert_eq!(ops.collector.frames_decoded, 2);
+        assert_eq!(ops.ingest.beacons, 2);
+        assert!(ops.conserves(2), "{ops:?}");
+        assert_eq!(ops.collector.connections_active, 0);
+        assert_eq!(ops.collector.accept_errors, 0);
     }
 
     /// JSON is sniffed per connection, a garbage line costs one corrupt
     /// frame, and a final beacon with no trailing newline still lands.
     #[test]
     fn json_client_is_sniffed_and_decoded() {
-        in_both_modes(|cfg| {
-            let collector = start(cfg);
-            let store = collector.sharded_store().clone();
-            store.record_served(served(7));
-            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-            let mut payload = json::encode(&beacon(7, 0, EventKind::Measurable)).unwrap();
-            payload.push('\n');
-            payload.push_str("this is not json\n");
-            // Final beacon: complete JSON, no trailing newline.
-            payload.push_str(&json::encode(&beacon(7, 1, EventKind::InView)).unwrap());
-            sock.write_all(payload.as_bytes()).unwrap();
-            drop(sock);
-            let ops = collector.shutdown();
-            assert_eq!(ops.collector.frames_decoded, 2, "{ops:?}");
-            assert_eq!(ops.collector.corrupt_frames, 1);
-            assert!(ops.conserves(3), "{ops:?}");
-            assert_eq!(store.verdict(7), (true, true));
-        });
+        let collector = start(CollectorConfig::default());
+        let store = collector.sharded_store().clone();
+        store.record_served(served(7));
+        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+        let mut payload = json::encode(&beacon(7, 0, EventKind::Measurable)).unwrap();
+        payload.push('\n');
+        payload.push_str("this is not json\n");
+        // Final beacon: complete JSON, no trailing newline.
+        payload.push_str(&json::encode(&beacon(7, 1, EventKind::InView)).unwrap());
+        sock.write_all(payload.as_bytes()).unwrap();
+        drop(sock);
+        let ops = collector.shutdown();
+        assert_eq!(ops.collector.frames_decoded, 2, "{ops:?}");
+        assert_eq!(ops.collector.corrupt_frames, 1);
+        assert!(ops.conserves(3), "{ops:?}");
+        assert_eq!(store.verdict(7), (true, true));
     }
 
     #[test]
     fn connection_cap_rejects_excess_clients() {
-        in_both_modes(|cfg| {
-            let collector = start(CollectorConfig {
-                max_connections: 1,
-                ..cfg
-            });
-            let _first = TcpStream::connect(collector.local_addr()).unwrap();
-            // Give the acceptor time to register the first connection.
-            std::thread::sleep(Duration::from_millis(100));
-            let _second = TcpStream::connect(collector.local_addr()).unwrap();
-            let stats = collector.stats();
-            wait_until(|| stats.connections_rejected.load(Ordering::Relaxed) != 0);
-            let ops = collector.shutdown();
-            assert_eq!(ops.collector.connections_accepted, 1);
-            assert_eq!(ops.collector.connections_rejected, 1);
-            // Every connection is retired by shutdown, so the gauge
-            // must be fully restored.
-            assert_eq!(ops.collector.connections_active, 0);
+        let collector = start(CollectorConfig {
+            max_connections: 1,
+            ..CollectorConfig::default()
         });
+        let _first = TcpStream::connect(collector.local_addr()).unwrap();
+        // Give the acceptor time to register the first connection.
+        std::thread::sleep(Duration::from_millis(100));
+        let _second = TcpStream::connect(collector.local_addr()).unwrap();
+        let stats = collector.stats();
+        wait_until(|| stats.connections_rejected.load(Ordering::Relaxed) != 0);
+        let ops = collector.shutdown();
+        assert_eq!(ops.collector.connections_accepted, 1);
+        assert_eq!(ops.collector.connections_rejected, 1);
+        // Every connection is retired by shutdown, so the gauge
+        // must be fully restored.
+        assert_eq!(ops.collector.connections_active, 0);
     }
 
     #[test]
     fn idle_connection_is_timed_out() {
-        in_both_modes(|cfg| {
-            let collector = start(CollectorConfig {
-                read_timeout: Duration::from_millis(50),
-                poll_interval: Duration::from_millis(10),
-                ..cfg
-            });
-            let _sock = TcpStream::connect(collector.local_addr()).unwrap();
-            let stats = collector.stats();
-            wait_until(|| stats.connections_timed_out.load(Ordering::Relaxed) != 0);
-            let ops = collector.shutdown();
-            assert_eq!(ops.collector.connections_timed_out, 1);
-            assert_eq!(ops.collector.connections_active, 0);
+        let collector = start(CollectorConfig {
+            read_timeout: Duration::from_millis(50),
+            poll_interval: Duration::from_millis(10),
+            ..CollectorConfig::default()
         });
+        let _sock = TcpStream::connect(collector.local_addr()).unwrap();
+        let stats = collector.stats();
+        wait_until(|| stats.connections_timed_out.load(Ordering::Relaxed) != 0);
+        let ops = collector.shutdown();
+        assert_eq!(ops.collector.connections_timed_out, 1);
+        assert_eq!(ops.collector.connections_active, 0);
     }
 
     #[test]
     fn abrupt_disconnect_mid_frame_loses_only_the_partial_frame() {
-        in_both_modes(|cfg| {
-            let collector = start(cfg);
-            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-            let stream = encode_frames(&[beacon(1, 0, EventKind::Measurable)]).unwrap();
-            let mut cut = encode_frames(&[beacon(1, 1, EventKind::InView)]).unwrap();
-            cut.truncate(cut.len() / 2); // die mid-frame
-            sock.write_all(&stream).unwrap();
-            sock.write_all(&cut).unwrap();
-            drop(sock);
-            let ops = collector.shutdown();
-            // Only the fully-written beacon counts as sent.
-            assert_eq!(ops.collector.frames_decoded, 1);
-            assert_eq!(ops.collector.corrupt_frames, 0);
-            assert!(ops.conserves(1), "{ops:?}");
-        });
+        let collector = start(CollectorConfig::default());
+        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+        let stream = encode_frames(&[beacon(1, 0, EventKind::Measurable)]).unwrap();
+        let mut cut = encode_frames(&[beacon(1, 1, EventKind::InView)]).unwrap();
+        cut.truncate(cut.len() / 2); // die mid-frame
+        sock.write_all(&stream).unwrap();
+        sock.write_all(&cut).unwrap();
+        drop(sock);
+        let ops = collector.shutdown();
+        // Only the fully-written beacon counts as sent.
+        assert_eq!(ops.collector.frames_decoded, 1);
+        assert_eq!(ops.collector.corrupt_frames, 0);
+        assert!(ops.conserves(1), "{ops:?}");
     }
 
     #[test]
     fn acked_client_gets_one_ack_per_accepted_frame_including_duplicates() {
         use qtag_wire::sender::{AckDecoder, AckKey, ACK_HELLO};
-        in_both_modes(|cfg| {
-            let collector = start(cfg);
-            collector.sharded_store().record_served(served(42));
-            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-            sock.set_read_timeout(Some(Duration::from_millis(200)))
-                .unwrap();
-            sock.write_all(&[ACK_HELLO]).unwrap();
-            // Two distinct beacons plus a retransmit of the first: the
-            // duplicate must be re-acked (the store already has it; the
-            // honest answer to the retry is "got it").
-            let stream = encode_frames(&[
-                beacon(42, 0, EventKind::Measurable),
-                beacon(42, 1, EventKind::InView),
-                beacon(42, 0, EventKind::Measurable),
-            ])
+        let collector = start(CollectorConfig::default());
+        collector.sharded_store().record_served(served(42));
+        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_millis(200)))
             .unwrap();
-            sock.write_all(&stream).unwrap();
-            sock.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut raw = Vec::new();
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            let mut chunk = [0u8; 64];
-            while raw.len() < 30 && std::time::Instant::now() < deadline {
-                match sock.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => raw.extend_from_slice(&chunk[..n]),
-                    Err(_) => {}
-                }
+        sock.write_all(&[ACK_HELLO]).unwrap();
+        // Two distinct beacons plus a retransmit of the first: the
+        // duplicate must be re-acked (the store already has it; the
+        // honest answer to the retry is "got it").
+        let stream = encode_frames(&[
+            beacon(42, 0, EventKind::Measurable),
+            beacon(42, 1, EventKind::InView),
+            beacon(42, 0, EventKind::Measurable),
+        ])
+        .unwrap();
+        sock.write_all(&stream).unwrap();
+        sock.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut raw = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut chunk = [0u8; 64];
+        while raw.len() < 30 && std::time::Instant::now() < deadline {
+            match sock.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => raw.extend_from_slice(&chunk[..n]),
+                Err(_) => {}
             }
-            let mut dec = AckDecoder::new();
-            let mut keys = Vec::new();
-            dec.extend(&raw, &mut keys);
-            keys.sort();
-            let key = |seq| AckKey {
-                impression_id: 42,
-                seq,
-            };
-            assert_eq!(keys, vec![key(0), key(0), key(1)], "raw ack bytes: {raw:?}");
-            drop(sock);
-            let ops = collector.shutdown();
-            assert_eq!(ops.collector.acked_connections, 1);
-            assert_eq!(ops.collector.acks_sent, 3);
-            assert_eq!(ops.collector.frames_decoded, 3);
-            assert!(ops.conserves(3), "{ops:?}");
-            // Acks are coalesced: one write per read iteration, never one
-            // per frame beyond that.
-            assert!(
-                ops.collector.ack_flushes >= 1
-                    && ops.collector.ack_flushes <= ops.collector.acks_sent,
-                "{ops:?}"
-            );
-        });
+        }
+        let mut dec = AckDecoder::new();
+        let mut keys = Vec::new();
+        dec.extend(&raw, &mut keys);
+        keys.sort();
+        let key = |seq| AckKey {
+            impression_id: 42,
+            seq,
+        };
+        assert_eq!(keys, vec![key(0), key(0), key(1)], "raw ack bytes: {raw:?}");
+        drop(sock);
+        let ops = collector.shutdown();
+        assert_eq!(ops.collector.acked_connections, 1);
+        assert_eq!(ops.collector.acks_sent, 3);
+        assert_eq!(ops.collector.frames_decoded, 3);
+        assert!(ops.conserves(3), "{ops:?}");
+        // Acks are coalesced: one write per read iteration, never one
+        // per frame beyond that.
+        assert!(
+            ops.collector.ack_flushes >= 1 && ops.collector.ack_flushes <= ops.collector.acks_sent,
+            "{ops:?}"
+        );
     }
 
     /// A daemon over a multi-shard store aggregates every beacon to
     /// the right shard and conserves exactly, end to end over TCP.
     #[test]
     fn sharded_daemon_aggregates_across_shards() {
-        in_both_modes(|cfg| {
-            let store = ShardedStore::new(4);
-            for id in 0..32u64 {
-                store.record_served(served(id));
-            }
-            let collector = Collector::start_sharded(cfg, store.clone()).unwrap();
-            let beacons: Vec<Beacon> = (0..32u64)
-                .flat_map(|id| {
-                    [
-                        beacon(id, 0, EventKind::Measurable),
-                        beacon(id, 1, EventKind::InView),
-                    ]
-                })
-                .collect();
-            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-            sock.write_all(&encode_frames(&beacons).unwrap()).unwrap();
-            drop(sock);
-            assert_eq!(collector.sharded_store().shard_count(), 4);
-            let ops = collector.shutdown();
-            assert_eq!(ops.ingest.beacons, 64);
-            assert_eq!(ops.ingest.rejected_after_shutdown, 0);
-            assert!(ops.conserves(64), "{ops:?}");
-            assert!(ops.decode_accounted(), "{ops:?}");
-            // Batched hand-off must have coalesced: far fewer channel ops
-            // than beacons even with 4 shards.
-            assert!(ops.ingest.beacon_batches < ops.ingest.beacons, "{ops:?}");
-            for id in 0..32u64 {
-                assert_eq!(store.verdict(id), (true, true), "impression {id}");
-            }
-            assert_eq!(store.unique_beacons(), 64);
-        });
+        let store = ShardedStore::new(4);
+        for id in 0..32u64 {
+            store.record_served(served(id));
+        }
+        let collector =
+            Collector::start_sharded(CollectorConfig::default(), store.clone()).unwrap();
+        let beacons: Vec<Beacon> = (0..32u64)
+            .flat_map(|id| {
+                [
+                    beacon(id, 0, EventKind::Measurable),
+                    beacon(id, 1, EventKind::InView),
+                ]
+            })
+            .collect();
+        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+        sock.write_all(&encode_frames(&beacons).unwrap()).unwrap();
+        drop(sock);
+        assert_eq!(collector.sharded_store().shard_count(), 4);
+        let ops = collector.shutdown();
+        assert_eq!(ops.ingest.beacons, 64);
+        assert_eq!(ops.ingest.rejected_after_shutdown, 0);
+        assert!(ops.conserves(64), "{ops:?}");
+        assert!(ops.decode_accounted(), "{ops:?}");
+        // Batched hand-off must have coalesced: far fewer channel ops
+        // than beacons even with 4 shards.
+        assert!(ops.ingest.beacon_batches < ops.ingest.beacons, "{ops:?}");
+        for id in 0..32u64 {
+            assert_eq!(store.verdict(id), (true, true), "impression {id}");
+        }
+        assert_eq!(store.unique_beacons(), 64);
     }
 
     #[test]
     fn corrupt_frames_earn_no_ack() {
         use qtag_wire::sender::ACK_HELLO;
-        in_both_modes(|cfg| {
-            let collector = start(cfg);
-            collector.sharded_store().record_served(served(9));
-            let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
-            sock.set_read_timeout(Some(Duration::from_millis(200)))
-                .unwrap();
-            sock.write_all(&[ACK_HELLO]).unwrap();
-            let good = encode_frames(&[beacon(9, 0, EventKind::Measurable)]).unwrap();
-            let mut bad = encode_frames(&[beacon(9, 1, EventKind::InView)]).unwrap();
-            let last = bad.len() - 1;
-            bad[last] ^= 0xFF; // fails the CRC, header stays honest
-            sock.write_all(&good).unwrap();
-            sock.write_all(&bad).unwrap();
-            sock.shutdown(std::net::Shutdown::Write).unwrap();
-            // Read to EOF: exactly one ack record may come back.
-            let mut raw = Vec::new();
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            let mut chunk = [0u8; 64];
-            while std::time::Instant::now() < deadline {
-                match sock.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => raw.extend_from_slice(&chunk[..n]),
-                    Err(_) => {
-                        if raw.len() >= 10 {
-                            break;
-                        }
+        let collector = start(CollectorConfig::default());
+        collector.sharded_store().record_served(served(9));
+        let mut sock = TcpStream::connect(collector.local_addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        sock.write_all(&[ACK_HELLO]).unwrap();
+        let good = encode_frames(&[beacon(9, 0, EventKind::Measurable)]).unwrap();
+        let mut bad = encode_frames(&[beacon(9, 1, EventKind::InView)]).unwrap();
+        let last = bad.len() - 1;
+        bad[last] ^= 0xFF; // fails the CRC, header stays honest
+        sock.write_all(&good).unwrap();
+        sock.write_all(&bad).unwrap();
+        sock.shutdown(std::net::Shutdown::Write).unwrap();
+        // Read to EOF: exactly one ack record may come back.
+        let mut raw = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut chunk = [0u8; 64];
+        while std::time::Instant::now() < deadline {
+            match sock.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => raw.extend_from_slice(&chunk[..n]),
+                Err(_) => {
+                    if raw.len() >= 10 {
+                        break;
                     }
                 }
             }
-            assert_eq!(raw.len(), 10, "one ack for the good frame only: {raw:?}");
-            drop(sock);
-            let ops = collector.shutdown();
-            assert_eq!(ops.collector.acks_sent, 1);
-            assert_eq!(ops.collector.corrupt_frames, 1);
-            assert!(ops.conserves(2), "{ops:?}");
-        });
+        }
+        assert_eq!(raw.len(), 10, "one ack for the good frame only: {raw:?}");
+        drop(sock);
+        let ops = collector.shutdown();
+        assert_eq!(ops.collector.acks_sent, 1);
+        assert_eq!(ops.collector.corrupt_frames, 1);
+        assert!(ops.conserves(2), "{ops:?}");
     }
 
     #[test]
     fn dropping_the_collector_does_not_hang() {
-        in_both_modes(|cfg| {
-            let collector = start(cfg);
-            let _sock = TcpStream::connect(collector.local_addr()).unwrap();
-            drop(collector);
-        });
+        let collector = start(CollectorConfig::default());
+        let _sock = TcpStream::connect(collector.local_addr()).unwrap();
+        drop(collector);
     }
 
     #[test]
@@ -789,7 +666,6 @@ mod tests {
         }
         let collector = Collector::start_sharded(
             CollectorConfig {
-                reactor: true,
                 reactor_workers: 2,
                 max_connections: conns as usize + 64,
                 // Roomy, so `unique_beacons` below is deterministic.

@@ -13,12 +13,11 @@ pub struct CollectorConfig {
     /// it are accepted, counted as rejected, and immediately closed.
     pub max_connections: usize,
     /// How long a connection may stay silent before the daemon drops
-    /// it. This is the per-connection read *budget*, enforced in
-    /// [`CollectorConfig::poll_interval`] steps so shutdown stays
-    /// responsive.
+    /// it, enforced by the reactor's periodic idle sweep.
     pub read_timeout: Duration,
-    /// Granularity of blocking waits (socket read timeout and the
-    /// acceptor's idle sleep). Bounds shutdown latency per thread.
+    /// Granularity of the daemon's waits (the acceptor's idle sleep and
+    /// the reactor workers' epoll timeout). Bounds shutdown latency per
+    /// thread.
     pub poll_interval: Duration,
     /// Longest accepted JSON line (bytes, newline excluded). Overlong
     /// lines are discarded and counted as one corrupt frame each; the
@@ -26,7 +25,7 @@ pub struct CollectorConfig {
     /// [`qtag_wire::framing::MAX_FRAME_LEN`].
     pub max_line_len: usize,
     /// Capacity of each store shard's bounded batch channel between
-    /// connection threads and that shard's applier, counted in
+    /// the reactor workers and that shard's applier, counted in
     /// *batches*. When full, beacons are shed and counted rather than
     /// stalling connection reads.
     pub inlet_capacity: usize,
@@ -34,21 +33,18 @@ pub struct CollectorConfig {
     /// socket read. Kept only while the benchmark package still sets
     /// it; leave it at its default.
     pub batch: usize,
-    /// Serve connections on an epoll reactor (a few worker event
-    /// loops, one non-blocking state machine per connection) instead
-    /// of one blocking reader thread per connection. Identical wire
-    /// protocol and accounting; the reactor is what lets one daemon
-    /// hold tens of thousands of mostly-idle sockets.
+    /// Has no effect: the epoll reactor is the daemon's only serving
+    /// mode. Kept only while the benchmark package still sets it;
+    /// leave it at its default.
     pub reactor: bool,
     /// Reactor event-loop threads. Connections are spread
     /// round-robin at accept time; each worker owns its connections
     /// for life (no migration, no cross-worker locking).
     pub reactor_workers: usize,
     /// Per-connection cap, in bytes, on acks buffered towards a slow
-    /// acked client (reactor mode). Above the cap the connection's
-    /// *reads* are paused until the client drains its ack backlog —
-    /// backpressure flows to the sender instead of into daemon
-    /// memory.
+    /// acked client. Above the cap the connection's *reads* are paused
+    /// until the client drains its ack backlog — backpressure flows to
+    /// the sender instead of into daemon memory.
     pub ack_buffer_cap: usize,
 }
 

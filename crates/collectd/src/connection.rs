@@ -1,13 +1,12 @@
 //! The connection: protocol sniffing, decoding, batching and ack
 //! generation ([`ProtoEngine`]) inside the one per-connection state
 //! machine ([`ConnState`]: read loop, `EINTR` retry, idle clock, ack
-//! flush cursor, backpressure pause). The two serving modes differ only
-//! in who calls [`ConnState::on_readable`]: a dedicated thread blocked
-//! in [`serve_stream`], or an epoll wakeup in `crate::reactor`.
+//! flush cursor, backpressure pause, shutdown drain). An epoll wakeup in
+//! `crate::reactor` calls it; the socket-free drivers call it over
+//! scripted IO.
 //!
 //! `ConnState` runs on the reactor's event loop, so `qtag-lint` rule R5
-//! keeps blocking calls out of this file; [`serve_stream`], which owns
-//! its thread, is the one exempt function.
+//! keeps blocking calls out of this file.
 
 use crate::config::CollectorConfig;
 use crate::stats::CollectorStats;
@@ -20,7 +19,6 @@ use qtag_wire::framing::FrameEvent;
 use qtag_wire::sender::{encode_ack, AckKey, ACK_HELLO, ACK_LEN};
 use qtag_wire::{json, Beacon, FrameDecoder};
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// Per-connection observability: the shared trace ring, the daemon's
@@ -69,8 +67,7 @@ impl ConnObs {
     }
 }
 
-/// Everything a connection (thread or reactor slot) needs; one clone
-/// per connection.
+/// Everything a connection needs; one clone per connection.
 #[derive(Clone)]
 pub(crate) struct ConnCtx {
     pub(crate) cfg: Arc<CollectorConfig>,
@@ -348,10 +345,9 @@ pub(crate) enum ReadOutcome {
 
 /// The per-connection state machine: the [`ProtoEngine`] plus the
 /// socket lifecycle around it (pending-ack write buffer with cursor,
-/// pause flag, idle clock). Transport-agnostic — a reader thread
-/// drives it over a blocking socket, a reactor worker over a
-/// non-blocking one, the model/property drivers over scripted
-/// in-memory IO.
+/// pause flag, idle clock, drain flag). Transport-agnostic — a reactor
+/// worker drives it over a non-blocking socket, the model/property
+/// drivers over scripted in-memory IO.
 pub(crate) struct ConnState {
     engine: ProtoEngine,
     /// Ack bytes generated but not yet fully written. `cursor` marks
@@ -363,16 +359,17 @@ pub(crate) struct ConnState {
     /// Reads paused because the un-drained ack backlog exceeded
     /// `ack_buffer_cap`. Cleared on full drain.
     paused: bool,
+    /// Shutdown drain: reads never pause, whatever the ack backlog.
+    /// The daemon closes the socket either way, and the buffered frames
+    /// must reach the store.
+    draining: bool,
     /// Facade-clock instant of the last byte received (idle budget).
-    /// Measured from the clock, NOT accumulated per wakeup: a timed
-    /// read that wakes early (signal, spurious wakeup) must not count
-    /// as idle time.
+    /// Measured from the clock, NOT accumulated per wakeup: a wakeup
+    /// that finds nothing to read (signal, spurious wakeup) must not
+    /// count as idle time.
     last_data: Instant,
 }
 
-// `on_writable` and the pause accessors are called by the epoll
-// worker only.
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
 impl ConnState {
     pub(crate) fn new() -> ConnState {
         ConnState {
@@ -380,6 +377,7 @@ impl ConnState {
             acks: Vec::new(),
             cursor: 0,
             paused: false,
+            draining: false,
             last_data: Instant::now(),
         }
     }
@@ -389,8 +387,7 @@ impl ConnState {
     }
 
     /// Whether an ack write is parked: the reactor watches the
-    /// connection for `WRITABLE`; the reader thread, whose writes
-    /// already waited out the write timeout, gives the client up.
+    /// connection for `WRITABLE`.
     pub(crate) fn wants_writable(&self) -> bool {
         self.pending() > 0
     }
@@ -432,7 +429,7 @@ impl ConnState {
                     self.engine.on_bytes(&scratch[..n], ctx, &mut self.acks);
                     if self.pending() > 0 {
                         self.flush(io, ctx)?;
-                        if self.pending() > ctx.cfg.ack_buffer_cap {
+                        if self.pending() > ctx.cfg.ack_buffer_cap && !self.draining {
                             self.paused = true;
                             // ordering: monotone stat; exact reads only after join.
                             ctx.stats
@@ -450,15 +447,7 @@ impl ConnState {
                 // the connection — retry instead of tearing down a
                 // healthy peer and forcing a full client retry cycle.
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // `TimedOut` is how some platforms spell an expired
-                // read timeout on a blocking socket; a non-blocking
-                // one never reports it.
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(ReadOutcome::Open)
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ReadOutcome::Open),
                 // Abrupt disconnect (reset mid-stream): everything
                 // already read still gets flushed by `finish`.
                 Err(e) => return Err(e),
@@ -473,10 +462,8 @@ impl ConnState {
 
     /// Ack flush. Partial progress advances `cursor`; a full drain
     /// counts the acks (`acks_sent` per record, `ack_flushes` per
-    /// drained buffer — on a blocking socket that is one per read
-    /// that produced acks), resets the buffer, and lifts a read pause.
-    /// A write that would block — at once on a non-blocking socket,
-    /// after the write timeout on a blocking one — parks the rest.
+    /// drained buffer), resets the buffer, and lifts a read pause. A
+    /// write that would block parks the rest.
     fn flush(&mut self, io: &mut impl Write, ctx: &ConnCtx) -> io::Result<()> {
         if self.acks.is_empty() {
             return Ok(());
@@ -513,75 +500,12 @@ impl ConnState {
         let _ = self.flush(io, ctx);
     }
 
-    /// Clears a backpressure pause (shutdown drain reads regardless:
-    /// the daemon is about to close the socket either way, and the
-    /// buffered frames must reach the store).
-    pub(crate) fn unpause_for_drain(&mut self) {
+    /// Enters the shutdown drain: lifts a backpressure pause, and reads
+    /// never pause again (see `draining`). Idempotent.
+    pub(crate) fn start_drain(&mut self) {
+        self.draining = true;
         self.paused = false;
     }
-}
-
-/// The blocking-socket surface [`serve_stream`] needs, implemented by
-/// `TcpStream` and by the test shims that inject `EINTR`, early
-/// wakeups and stalled writes (the connection-lifecycle regression
-/// suite).
-pub(crate) trait ConnStream: Read + Write {
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
-    fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
-}
-
-impl ConnStream for TcpStream {
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_read_timeout(self, dur)
-    }
-
-    fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_write_timeout(self, dur)
-    }
-}
-
-/// Serves one connection to completion on a dedicated thread: drives
-/// a [`ConnState`] over a blocking socket. Returns when the peer
-/// closes, the read-timeout budget is exhausted, the client stops
-/// taking its acks, or the daemon is shutting down and the socket has
-/// gone quiet — always flushing whatever the decoder still holds so
-/// in-flight frames are never dropped.
-pub(crate) fn serve_stream(mut stream: impl ConnStream, ctx: ConnCtx) {
-    // Poll-interval read timeout: bounds both idle detection
-    // granularity and shutdown latency. The write timeout bounds ack
-    // writes to a stalled client so this thread cannot hang forever.
-    let _ = stream.set_read_timeout(Some(ctx.cfg.poll_interval));
-    let _ = stream.set_write_timeout(Some(ctx.cfg.read_timeout));
-    let mut state = ConnState::new();
-    let mut buf = vec![0u8; 16 * 1024];
-    // Unbudgeted: this thread has nobody to yield to, so `Open` means
-    // the socket went quiet for a poll interval (or reads paused).
-    while let Ok(ReadOutcome::Open) = state.on_readable(&mut stream, &ctx, &mut buf, usize::MAX) {
-        if state.wants_writable() {
-            // An ack write outlasted the write timeout. Nobody will
-            // deliver a writable event here, and a paused state would
-            // return at once forever: give the client up, its ack
-            // timeouts force a retry cycle over a fresh connection.
-            break;
-        }
-        // ordering: Acquire pairs with the Release store in
-        // `Collector::stop` — reader threads that see the flag also
-        // see everything the stopping thread published before
-        // flipping it.
-        if ctx.shutdown.load(Ordering::Acquire) {
-            // Draining for shutdown and the socket is quiet: nothing
-            // more will be waited for.
-            break;
-        }
-        if state.idle_for() >= ctx.cfg.read_timeout {
-            // ordering: monotone stat; exact reads only after join.
-            ctx.stats
-                .connections_timed_out
-                .fetch_add(1, Ordering::Relaxed);
-            break;
-        }
-    }
-    state.finish(&mut stream, &ctx);
 }
 
 #[cfg(test)]
@@ -651,28 +575,20 @@ mod tests {
     enum Step {
         Data(Vec<u8>),
         Err(io::ErrorKind),
-        /// Not a read: from here on every write waits out the write
-        /// timeout and takes nothing (`WouldBlock`), like a client
-        /// that stopped reading its acks.
-        StallWrites,
         Eof,
     }
 
-    /// A scripted [`ConnStream`]: each `read` plays the next step,
-    /// writes are swallowed (or stalled, after [`Step::StallWrites`]).
-    /// Lets the regression tests inject `EINTR`, early wakeups and
-    /// write timeouts that a real socket cannot produce
-    /// deterministically.
+    /// Scripted IO: each `read` plays the next step, writes are
+    /// swallowed. Lets the regression tests inject `EINTR` and early
+    /// wakeups that a real socket cannot produce deterministically.
     struct ShimStream {
         steps: VecDeque<Step>,
-        writes_stalled: bool,
     }
 
     impl ShimStream {
         fn new(steps: Vec<Step>) -> Self {
             ShimStream {
                 steps: steps.into(),
-                writes_stalled: false,
             }
         }
     }
@@ -686,10 +602,6 @@ mod tests {
                     Ok(bytes.len())
                 }
                 Some(Step::Err(kind)) => Err(io::Error::from(kind)),
-                Some(Step::StallWrites) => {
-                    self.writes_stalled = true;
-                    self.read(buf)
-                }
                 Some(Step::Eof) | None => Ok(0),
             }
         }
@@ -697,9 +609,6 @@ mod tests {
 
     impl Write for ShimStream {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.writes_stalled {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
             Ok(buf.len())
         }
 
@@ -708,14 +617,22 @@ mod tests {
         }
     }
 
-    impl ConnStream for ShimStream {
-        fn set_read_timeout(&self, _dur: Option<Duration>) -> io::Result<()> {
-            Ok(())
+    /// Serves `io` to its end on one [`ConnState`], one read per wakeup,
+    /// judging the idle budget after every wakeup that leaves the
+    /// connection open, as the reactor's idle sweep does. Returns
+    /// whether the connection timed out.
+    fn serve(mut io: impl Read + Write, ctx: &ConnCtx) -> bool {
+        let mut state = ConnState::new();
+        let mut buf = vec![0u8; 16 * 1024];
+        let mut timed_out = false;
+        while let Ok(ReadOutcome::Open) = state.on_readable(&mut io, ctx, &mut buf, 1) {
+            if state.idle_for() >= ctx.cfg.read_timeout {
+                timed_out = true;
+                break;
+            }
         }
-
-        fn set_write_timeout(&self, _dur: Option<Duration>) -> io::Result<()> {
-            Ok(())
-        }
+        state.finish(&mut io, ctx);
+        timed_out
     }
 
     /// Regression (EINTR teardown): an `Interrupted` read used to hit
@@ -735,14 +652,13 @@ mod tests {
             Step::Data(second),
             Step::Eof,
         ]);
-        serve_stream(stream, r.ctx.clone());
+        assert!(!serve(stream, &r.ctx));
         r.service.shutdown();
         let snap = r.ctx.stats.snapshot();
         assert_eq!(
             snap.frames_decoded, 2,
             "the beacon after the EINTR must not be lost: {snap:?}"
         );
-        assert_eq!(snap.connections_timed_out, 0);
         assert_eq!(r.store.unique_beacons(), 2);
     }
 
@@ -766,19 +682,17 @@ mod tests {
         }
         steps.push(Step::Data(encode_frames(&[beacon(2, 0)]).unwrap()));
         steps.push(Step::Eof);
-        let stream = ShimStream::new(steps);
-        serve_stream(stream, r.ctx.clone());
+        assert!(
+            !serve(ShimStream::new(steps), &r.ctx),
+            "early wakeups must not count as idle time"
+        );
         r.service.shutdown();
         let snap = r.ctx.stats.snapshot();
-        assert_eq!(
-            snap.connections_timed_out, 0,
-            "early wakeups must not count as idle time: {snap:?}"
-        );
         assert_eq!(snap.frames_decoded, 2, "{snap:?}");
         assert_eq!(r.store.unique_beacons(), 2);
     }
 
-    /// A genuinely idle shim stream still times out: the wall-accurate
+    /// A genuinely idle stream still times out: the wall-accurate
     /// clock keeps the timeout working, it only stops over-counting.
     #[test]
     fn genuine_idle_still_times_out() {
@@ -788,8 +702,8 @@ mod tests {
             ..CollectorConfig::default()
         };
         let r = rig(cfg);
-        /// A stream that sleeps `poll_interval`-ish per read and
-        /// returns `WouldBlock`, like a real timed-out socket read.
+        /// A stream whose every wakeup comes `poll_interval`-ish after
+        /// the last and finds nothing to read.
         struct IdleStream;
         impl Read for IdleStream {
             fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
@@ -805,106 +719,8 @@ mod tests {
                 Ok(())
             }
         }
-        impl ConnStream for IdleStream {
-            fn set_read_timeout(&self, _d: Option<Duration>) -> io::Result<()> {
-                Ok(())
-            }
-            fn set_write_timeout(&self, _d: Option<Duration>) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        serve_stream(IdleStream, r.ctx.clone());
+        assert!(serve(IdleStream, &r.ctx));
         r.service.shutdown();
-        let snap = r.ctx.stats.snapshot();
-        assert_eq!(snap.connections_timed_out, 1, "{snap:?}");
-    }
-
-    /// An expired read timeout is spelled `TimedOut`, not `WouldBlock`,
-    /// on some platforms. Either way it is a quiet poll: the
-    /// connection stays up and the beacon after the quiet spell lands.
-    #[test]
-    fn timed_out_read_is_a_quiet_poll_not_a_teardown() {
-        let r = rig(CollectorConfig::default());
-        let stream = ShimStream::new(vec![
-            Step::Data(encode_frames(&[beacon(1, 0)]).unwrap()),
-            Step::Err(io::ErrorKind::TimedOut),
-            Step::Err(io::ErrorKind::TimedOut),
-            Step::Data(encode_frames(&[beacon(2, 0)]).unwrap()),
-            Step::Eof,
-        ]);
-        serve_stream(stream, r.ctx.clone());
-        r.service.shutdown();
-        let snap = r.ctx.stats.snapshot();
-        assert_eq!(snap.frames_decoded, 2, "{snap:?}");
-        assert_eq!(snap.connections_timed_out, 0, "{snap:?}");
-        assert_eq!(r.store.unique_beacons(), 2);
-    }
-
-    fn acked(beacons: &[Beacon]) -> Vec<u8> {
-        let mut bytes = vec![ACK_HELLO];
-        bytes.extend_from_slice(&encode_frames(beacons).unwrap());
-        bytes
-    }
-
-    /// An acked client that stops taking its acks: the write comes
-    /// back from the state machine parked, not failed, and a reader
-    /// thread has no writable event to wait for — it must close the
-    /// connection the first time the machine hands control back, and
-    /// never call a paused machine again (it would return at once,
-    /// forever; this test would hang). Only acks are lost: every
-    /// frame read before the close is in the store.
-    #[test]
-    fn stalled_ack_writer_is_closed_not_spun_on() {
-        // (ack_buffer_cap, frames read before the close): over the cap
-        // the machine pauses after the first read; under it the thread
-        // reads on until the socket goes quiet.
-        for (ack_buffer_cap, read_before_close) in [(0, 1), (64 * 1024, 2)] {
-            let r = rig(CollectorConfig {
-                ack_buffer_cap,
-                ..CollectorConfig::default()
-            });
-            let stream = ShimStream::new(vec![
-                Step::StallWrites,
-                Step::Data(acked(&[beacon(1, 0)])),
-                Step::Data(encode_frames(&[beacon(2, 0)]).unwrap()),
-                Step::Err(io::ErrorKind::WouldBlock),
-                Step::Data(encode_frames(&[beacon(3, 0)]).unwrap()),
-                Step::Eof,
-            ]);
-            serve_stream(stream, r.ctx.clone());
-            r.service.shutdown();
-            let snap = r.ctx.stats.snapshot();
-            assert_eq!(snap.frames_decoded, read_before_close, "{snap:?}");
-            assert_eq!(r.store.unique_beacons(), read_before_close, "{snap:?}");
-            assert_eq!(snap.acks_sent, 0, "{snap:?}");
-            assert_eq!(snap.ack_flushes, 0, "{snap:?}");
-            assert_eq!(snap.connections_timed_out, 0, "{snap:?}");
-        }
-    }
-
-    /// `ack_flushes` counts drained ack buffers. A blocking socket
-    /// drains the buffer inside the read iteration that filled it, so
-    /// a reader thread reports one flush per read that produced acks —
-    /// the number the hand-written threaded loop reported — and none
-    /// for a read that completed no frame.
-    #[test]
-    fn reader_thread_ack_flushes_equal_ack_producing_reads() {
-        let r = rig(CollectorConfig::default());
-        let split = encode_frames(&[beacon(4, 0)]).unwrap();
-        let (head, tail) = split.split_at(split.len() / 2);
-        let stream = ShimStream::new(vec![
-            Step::Data(acked(&[beacon(1, 0), beacon(2, 0)])),
-            Step::Data(encode_frames(&[beacon(3, 0)]).unwrap()),
-            Step::Data(head.to_vec()), // no complete frame: no acks, no flush
-            Step::Data(tail.to_vec()),
-            Step::Eof,
-        ]);
-        serve_stream(stream, r.ctx.clone());
-        r.service.shutdown();
-        let snap = r.ctx.stats.snapshot();
-        assert_eq!(snap.acks_sent, 4, "{snap:?}");
-        assert_eq!(snap.ack_flushes, 3, "{snap:?}");
-        assert_eq!(r.store.unique_beacons(), 4);
     }
 
     /// Regression (unterminated JSON tail): a complete, valid JSON
@@ -920,7 +736,7 @@ mod tests {
         payload.push_str(&json::encode(&beacon(2, 0)).unwrap());
         // No trailing newline: the peer closed right after the body.
         let stream = ShimStream::new(vec![Step::Data(payload.into_bytes()), Step::Eof]);
-        serve_stream(stream, r.ctx.clone());
+        serve(stream, &r.ctx);
         r.service.shutdown();
         let snap = r.ctx.stats.snapshot();
         assert_eq!(
@@ -938,7 +754,7 @@ mod tests {
         payload.push('\n');
         payload.push_str("{\"truncated\": tra"); // cut mid-token, no newline
         let stream = ShimStream::new(vec![Step::Data(payload.into_bytes()), Step::Eof]);
-        serve_stream(stream, r.ctx.clone());
+        serve(stream, &r.ctx);
         r.service.shutdown();
         let snap = r.ctx.stats.snapshot();
         assert_eq!(snap.frames_decoded, 1, "{snap:?}");
@@ -957,7 +773,7 @@ mod tests {
         payload.push('\n');
         payload.push_str("  \t ");
         let stream = ShimStream::new(vec![Step::Data(payload.into_bytes()), Step::Eof]);
-        serve_stream(stream, r.ctx.clone());
+        serve(stream, &r.ctx);
         r.service.shutdown();
         let snap = r.ctx.stats.snapshot();
         assert_eq!(snap.frames_decoded, 1, "{snap:?}");
@@ -974,7 +790,7 @@ mod tests {
         });
         let payload = b"{\"way\": \"over the sixteen byte cap".to_vec();
         let stream = ShimStream::new(vec![Step::Data(payload), Step::Eof]);
-        serve_stream(stream, r.ctx.clone());
+        serve(stream, &r.ctx);
         r.service.shutdown();
         let snap = r.ctx.stats.snapshot();
         assert_eq!(snap.corrupt_frames, 1, "{snap:?}");

@@ -7,18 +7,14 @@
 //! protocol on the same port, feeding decoded beacons into
 //! [`qtag_server::IngestService`] through its bounded inlet.
 //!
-//! One per-connection state machine (`connection.rs`: protocol
-//! engine, read loop, idle clock, ack flush) behind one acceptor, with
-//! two drivers that differ only in who calls it:
-//!
-//! - **Threaded** (default): the acceptor supervises one OS thread per
-//!   connection, blocked in reads-with-timeout — the simplest correct
-//!   shape while connection counts are modest (no async runtime in
-//!   the dependency tree), and the only one without epoll.
-//! - **Reactor** ([`CollectorConfig::reactor`]): a few epoll worker
-//!   loops call the same machine on readiness events (`reactor.rs`),
-//!   which is what lets one daemon hold tens of thousands of
-//!   mostly-idle sockets without ten thousand stacks.
+//! One acceptor thread hands each connection, round-robin, to a few
+//! epoll worker loops (`reactor.rs`); each worker owns a slab of
+//! per-connection state machines (`connection.rs`: protocol engine,
+//! read loop, idle clock, ack flush, shutdown drain) over non-blocking
+//! sockets. That is what lets one daemon hold tens of thousands of
+//! mostly-idle sockets without ten thousand stacks, and it is the only
+//! serving mode. The daemon is Linux-only: the vendored `mio` poller
+//! is a thin shim over epoll.
 //!
 //! Every hand-off is a crossbeam channel; overload is shed at the
 //! bounded inlet and *counted*, never silently dropped, so the
@@ -40,10 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("qtag-collectd serves connections on epoll, so it builds only for Linux");
+
 mod collector;
 mod config;
 mod connection;
-#[cfg(target_os = "linux")]
 mod reactor;
 mod stats;
 pub mod sync;
@@ -57,5 +55,4 @@ pub use stats::{CollectorStats, CollectorStatsSnapshot, IngestMetrics, IngestSta
 // the chunking-invariance property suite; not part of the supported
 // API.
 #[doc(hidden)]
-#[cfg(target_os = "linux")]
 pub use reactor::reactor_chunks;

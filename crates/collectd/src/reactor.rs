@@ -1,7 +1,5 @@
-//! Event-driven connection serving: a few epoll worker loops instead
-//! of one blocking reader thread per connection.
-//!
-//! Architecture (`CollectorConfig::reactor = true`):
+//! The daemon's connection serving: a few epoll worker loops, each
+//! owning a slab of non-blocking connections.
 //!
 //! ```text
 //!   acceptor thread ──round-robin──▶ worker 0 ─┐ epoll loop over a slab of
@@ -11,10 +9,9 @@
 //!
 //! Each worker owns its connections for life: a slab (`Vec<Option<..>>`
 //! plus free list) of [`ConnState`] machines keyed by the epoll token,
-//! no migration and no cross-worker locking. The machine is the one
-//! the reader-thread mode drives (`crate::connection`), so the wire
-//! protocol, shed accounting and conservation identities cannot differ
-//! between modes; this file only decides *when* it is called.
+//! no migration and no cross-worker locking. The machine lives in
+//! `crate::connection`; this file only decides *when* it is called,
+//! one wakeup at a time through [`serve_event`].
 //!
 //! Backpressure rules:
 //!
@@ -31,12 +28,16 @@
 //! - **Idle**: a periodic sweep closes connections whose last byte is
 //!   older than `read_timeout`, measured on the connection's own
 //!   facade-clock idle timer.
+//! - **Shutdown**: once a worker sees the shutdown flag, it reads every
+//!   connection to EOF — pauses lifted, quiet sockets kept registered —
+//!   and closes each as it ends. Whatever is still open
+//!   [`DRAIN_GRACE`] after the flag gets one last read and is closed.
 //!
-//! The blocking calls that make sense on a dedicated reader thread
-//! (socket timeouts, `write_all`, sleeps) are design bugs on an event
-//! loop; `qtag-lint` rule R5 keeps them out of this file and out of
-//! `connection.rs`.
+//! Blocking calls (socket timeouts, `write_all`, sleeps) are design
+//! bugs on an event loop; `qtag-lint` rule R5 keeps them out of this
+//! file and out of `connection.rs`.
 
+use crate::collector::DRAIN_GRACE;
 use crate::config::CollectorConfig;
 use crate::connection::{ConnCtx, ConnObs, ConnState, ReadOutcome};
 use crate::stats::CollectorStats;
@@ -94,6 +95,44 @@ fn sweep_cadence(cfg: &CollectorConfig) -> Duration {
         .max(cfg.poll_interval)
 }
 
+/// Serves one wakeup of one connection and says whether to close it:
+/// the step the epoll worker and the socket-free driver share. Writes
+/// go first: a full ack flush can lift a read pause, letting the read
+/// make progress at once. While `draining` for shutdown, the read pause
+/// is lifted for good, and a socket that has gone quiet stays open like
+/// any other: only EOF or an error closes it (the worker's drain
+/// deadline closes the rest).
+fn serve_event(
+    state: &mut ConnState,
+    io: &mut (impl Read + Write),
+    ctx: &ConnCtx,
+    scratch: &mut [u8],
+    readable: bool,
+    writable: bool,
+    draining: bool,
+) -> bool {
+    if draining {
+        state.start_drain();
+    }
+    if writable && state.wants_writable() && state.on_writable(io, ctx).is_err() {
+        return true;
+    }
+    readable
+        && !matches!(
+            state.on_readable(io, ctx, scratch, MAX_READS_PER_EVENT),
+            Ok(ReadOutcome::Open)
+        )
+}
+
+/// One worker's epoll instance and the connections registered with it.
+struct Worker {
+    poll: Poll,
+    slots: Vec<Option<Slot>>,
+    free: Vec<usize>,
+    live: usize,
+    scratch: Vec<u8>,
+}
+
 /// One reactor worker: owns an epoll instance and every connection
 /// the acceptor hands it, until shutdown drains them all.
 pub(crate) fn run_worker(
@@ -111,7 +150,7 @@ pub(crate) fn run_worker(
             // blocking waits only because they'd freeze live
             // connections).
             for nc in rx {
-                // ordering: admission gauge, see ActiveGuard in collector.rs.
+                // ordering: admission gauge, see `supervise` in collector.rs.
                 nc.ctx
                     .stats
                     .connections_active
@@ -120,21 +159,26 @@ pub(crate) fn run_worker(
             return;
         }
     };
+    let mut w = Worker {
+        poll,
+        slots: Vec::new(),
+        free: Vec::new(),
+        live: 0,
+        scratch: vec![0u8; 64 * 1024],
+    };
     let mut events = Events::with_capacity(1024);
-    let mut slots: Vec<Option<Slot>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut live = 0usize;
-    let mut scratch = vec![0u8; 64 * 1024];
     let sweep_every = sweep_cadence(&cfg);
     let mut last_sweep = Instant::now();
     let mut rx_open = true;
+    // Set when this worker first sees the shutdown flag.
+    let mut drain_deadline: Option<Instant> = None;
 
     loop {
         // Admit pending hand-offs (bounded only by what the acceptor
         // queued; each admit is O(1)).
         while rx_open {
             match rx.try_recv() {
-                Ok(nc) => admit(nc, &poll, &mut slots, &mut free, &mut live),
+                Ok(nc) => w.admit(nc),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => rx_open = false,
             }
@@ -143,29 +187,35 @@ pub(crate) fn run_worker(
         // ordering: Acquire pairs with the Release store in
         // `Collector::stop`; a worker that sees the flag also sees
         // everything published before the stop began.
-        if shutdown.load(Ordering::Acquire) {
-            // Shutdown drain, mirroring the threaded semantics: each
-            // connection is read until quiet (buffered frames reach
-            // the store), flushed, and closed. The acceptor may still
-            // hand over backlog connections during its drain grace;
-            // they get the same treatment until the channel closes.
-            for idx in 0..slots.len() {
-                drain_slot(idx, &poll, &mut slots, &mut free, &mut live, &mut scratch);
+        if drain_deadline.is_none() && shutdown.load(Ordering::Acquire) {
+            drain_deadline = Some(Instant::now() + DRAIN_GRACE);
+            // Read every connection once now: this lifts read pauses
+            // (and the WRITABLE-only interest that came with them),
+            // and closes the ones already at EOF.
+            for idx in 0..w.slots.len() {
+                w.serve(idx, true, false, true);
             }
-            if !rx_open {
-                break;
-            }
-            // Wait for more backlog hand-offs (or the channel close)
-            // without spinning; the slab is quiet so this is a sleep
-            // with an epoll spelling.
-            let _ = poll.poll(&mut events, Some(cfg.poll_interval));
-            continue;
         }
-        if !rx_open && live == 0 {
+        let mut timeout = cfg.poll_interval;
+        if let Some(deadline) = drain_deadline {
+            match deadline.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => timeout = timeout.min(left),
+                _ => {
+                    // Grace spent: one last read, then close. Hand-offs
+                    // still arriving from the acceptor's own drain get
+                    // the same.
+                    for idx in 0..w.slots.len() {
+                        w.serve(idx, true, false, true);
+                        w.close(idx);
+                    }
+                }
+            }
+        }
+        if !rx_open && w.live == 0 {
             break;
         }
 
-        match poll.poll(&mut events, Some(cfg.poll_interval)) {
+        match w.poll.poll(&mut events, Some(timeout)) {
             // EINTR: the wait was interrupted, nothing was lost.
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             // A broken epoll fd is unrecoverable; teardown below
@@ -173,164 +223,137 @@ pub(crate) fn run_worker(
             Err(_) => break,
             Ok(_) => {}
         }
-
         for ev in events.iter() {
-            let idx = ev.token().0;
-            let Some(slot) = slots.get_mut(idx).and_then(Option::as_mut) else {
-                continue; // already closed this iteration
-            };
-            let mut close = false;
-            // Drain writes first: a full ack flush can lift a read
-            // pause, letting the read below make progress immediately.
-            if ev.is_writable() && slot.state.wants_writable() {
-                close |= slot.state.on_writable(&mut slot.stream, &slot.ctx).is_err();
-            }
-            if !close && ev.is_readable() {
-                close |= !matches!(
-                    slot.state.on_readable(
-                        &mut slot.stream,
-                        &slot.ctx,
-                        &mut scratch,
-                        MAX_READS_PER_EVENT
-                    ),
-                    Ok(ReadOutcome::Open)
-                );
-            }
-            if close {
-                close_slot(idx, &poll, &mut slots, &mut free, &mut live);
-            } else {
-                let want = desired_interest(&slot.state);
-                if want != slot.interest {
-                    if poll.reregister(&slot.stream, Token(idx), want).is_ok() {
-                        slot.interest = want;
-                    } else {
-                        close_slot(idx, &poll, &mut slots, &mut free, &mut live);
-                    }
-                }
-            }
+            w.serve(
+                ev.token().0,
+                ev.is_readable(),
+                ev.is_writable(),
+                drain_deadline.is_some(),
+            );
         }
 
         if last_sweep.elapsed() >= sweep_every {
             last_sweep = Instant::now();
-            for idx in 0..slots.len() {
-                let timed_out = slots[idx]
-                    .as_ref()
-                    .is_some_and(|s| s.state.idle_for() >= s.ctx.cfg.read_timeout);
-                if timed_out {
-                    let slot = slots[idx].as_ref().unwrap();
-                    // ordering: monotone stat; exact reads only after join.
-                    slot.ctx
-                        .stats
-                        .connections_timed_out
-                        .fetch_add(1, Ordering::Relaxed);
-                    close_slot(idx, &poll, &mut slots, &mut free, &mut live);
-                }
-            }
+            w.close_idle();
         }
     }
 
     // Teardown: close whatever survived (epoll failure path).
-    for idx in 0..slots.len() {
-        if slots[idx].is_some() {
-            close_slot(idx, &poll, &mut slots, &mut free, &mut live);
-        }
+    for idx in 0..w.slots.len() {
+        w.close(idx);
     }
 }
 
-fn admit(
-    nc: NewConn,
-    poll: &Poll,
-    slots: &mut Vec<Option<Slot>>,
-    free: &mut Vec<usize>,
-    live: &mut usize,
-) {
-    let NewConn { stream, ctx } = nc;
-    let ready = stream
-        .set_nonblocking(true)
-        .and_then(|()| {
-            let idx = free.last().copied().unwrap_or(slots.len());
-            poll.register(&stream, Token(idx), Interest::READABLE)
-        })
-        .is_ok();
-    if !ready {
-        // Registration failed (fd pressure): shed the connection whole
-        // rather than serving it half-registered.
-        ctx.stats.accept_errors.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
-        ctx.stats.connections_active.fetch_sub(1, Ordering::Relaxed); // ordering: admission gauge, see ActiveGuard
-        return;
-    }
-    let idx = match free.pop() {
-        Some(idx) => idx,
-        None => {
-            slots.push(None);
-            slots.len() - 1
+impl Worker {
+    fn admit(&mut self, nc: NewConn) {
+        let NewConn { stream, ctx } = nc;
+        let ready = stream
+            .set_nonblocking(true)
+            .and_then(|()| {
+                let idx = self.free.last().copied().unwrap_or(self.slots.len());
+                self.poll.register(&stream, Token(idx), Interest::READABLE)
+            })
+            .is_ok();
+        if !ready {
+            // Registration failed (fd pressure): shed the connection
+            // whole rather than serving it half-registered.
+            ctx.stats.accept_errors.fetch_add(1, Ordering::Relaxed); // ordering: stat, read after join
+            ctx.stats.connections_active.fetch_sub(1, Ordering::Relaxed); // ordering: admission gauge, see `supervise` in collector.rs
+            return;
         }
-    };
-    slots[idx] = Some(Slot {
-        stream,
-        state: ConnState::new(),
-        ctx,
-        interest: Interest::READABLE,
-    });
-    *live += 1;
-}
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => {
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+        };
+        self.slots[idx] = Some(Slot {
+            stream,
+            state: ConnState::new(),
+            ctx,
+            interest: Interest::READABLE,
+        });
+        self.live += 1;
+    }
 
-/// Closes slot `idx`: flushes the engine into the store, releases the
-/// epoll registration, restores the admission gauge, and returns the
-/// slot to the free list.
-fn close_slot(
-    idx: usize,
-    poll: &Poll,
-    slots: &mut [Option<Slot>],
-    free: &mut Vec<usize>,
-    live: &mut usize,
-) {
-    let Some(mut slot) = slots[idx].take() else {
-        return;
-    };
-    let _ = poll.deregister(&slot.stream);
-    slot.state.finish(&mut slot.stream, &slot.ctx);
-    // ordering: admission gauge, see ActiveGuard in collector.rs.
-    slot.ctx
-        .stats
-        .connections_active
-        .fetch_sub(1, Ordering::Relaxed);
-    free.push(idx);
-    *live -= 1;
-}
+    /// Serves one wakeup of slot `idx` (if it is open), then closes it
+    /// or brings its registered interest up to date.
+    fn serve(&mut self, idx: usize, readable: bool, writable: bool, draining: bool) {
+        let Some(slot) = self.slots.get_mut(idx).and_then(Option::as_mut) else {
+            return; // already closed
+        };
+        let close = serve_event(
+            &mut slot.state,
+            &mut slot.stream,
+            &slot.ctx,
+            &mut self.scratch,
+            readable,
+            writable,
+            draining,
+        );
+        let want = desired_interest(&slot.state);
+        let keep = !close
+            && (want == slot.interest
+                || self.poll.reregister(&slot.stream, Token(idx), want).is_ok());
+        if keep {
+            slot.interest = want;
+        } else {
+            self.close(idx);
+        }
+    }
 
-/// Shutdown-drain for one slot: read until the socket is quiet
-/// (unbudgeted — buffered frames must not be truncated), then close.
-fn drain_slot(
-    idx: usize,
-    poll: &Poll,
-    slots: &mut [Option<Slot>],
-    free: &mut Vec<usize>,
-    live: &mut usize,
-    scratch: &mut [u8],
-) {
-    let Some(slot) = slots.get_mut(idx).and_then(Option::as_mut) else {
-        return;
-    };
-    slot.state.unpause_for_drain();
-    let _ = slot
-        .state
-        .on_readable(&mut slot.stream, &slot.ctx, scratch, usize::MAX);
-    close_slot(idx, poll, slots, free, live);
+    /// Closes slot `idx` if it is open: flushes the engine into the
+    /// store, releases the epoll registration, restores the admission
+    /// gauge, and returns the slot to the free list.
+    fn close(&mut self, idx: usize) {
+        let Some(mut slot) = self.slots[idx].take() else {
+            return;
+        };
+        let _ = self.poll.deregister(&slot.stream);
+        slot.state.finish(&mut slot.stream, &slot.ctx);
+        // ordering: admission gauge, see `supervise` in collector.rs.
+        slot.ctx
+            .stats
+            .connections_active
+            .fetch_sub(1, Ordering::Relaxed);
+        self.free.push(idx);
+        self.live -= 1;
+    }
+
+    /// Closes every connection silent for its `read_timeout`.
+    fn close_idle(&mut self) {
+        for idx in 0..self.slots.len() {
+            let Some(slot) = &self.slots[idx] else {
+                continue;
+            };
+            if slot.state.idle_for() >= slot.ctx.cfg.read_timeout {
+                // ordering: monotone stat; exact reads only after join.
+                slot.ctx
+                    .stats
+                    .connections_timed_out
+                    .fetch_add(1, Ordering::Relaxed);
+                self.close(idx);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Socket-free drivers (model checking and equivalence testing)
 // ---------------------------------------------------------------------------
 
-/// Scripted non-blocking IO for the socket-free driver: reads serve
-/// one chunk per call then EOF; writes accept at most `write_cap`
-/// bytes per call and return `WouldBlock` on every other attempt,
-/// exercising the partial-write cursor and the read-pause
-/// backpressure path deterministically.
+/// Scripted non-blocking IO for the socket-free driver. Each chunk
+/// arrives on its own wakeup: a read serves the next chunk, the read
+/// after it finds the socket quiet (`WouldBlock`), and after the last
+/// chunk the peer closes (EOF). Writes accept at most `write_cap` bytes
+/// per call and return `WouldBlock` on every other attempt, exercising
+/// the partial-write cursor and the read-pause backpressure path
+/// deterministically.
 struct ScriptedIo<'a> {
     chunks: &'a [Vec<u8>],
     next: usize,
+    quiet: bool,
     write_cap: usize,
     stall_next_write: bool,
     written: Vec<u8>,
@@ -341,6 +364,7 @@ impl<'a> ScriptedIo<'a> {
         ScriptedIo {
             chunks,
             next: 0,
+            quiet: false,
             write_cap: write_cap.max(1),
             stall_next_write: false,
             written: Vec::new(),
@@ -350,6 +374,9 @@ impl<'a> ScriptedIo<'a> {
 
 impl Read for ScriptedIo<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if std::mem::take(&mut self.quiet) {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
         match self.chunks.get(self.next) {
             Some(chunk) => {
                 assert!(
@@ -358,6 +385,7 @@ impl Read for ScriptedIo<'_> {
                 );
                 buf[..chunk.len()].copy_from_slice(chunk);
                 self.next += 1;
+                self.quiet = true;
                 Ok(chunk.len())
             }
             None => Ok(0), // peer closed after the last chunk
@@ -383,11 +411,12 @@ impl Write for ScriptedIo<'_> {
 }
 
 /// Drives one session through the [`ConnState`] machine over in-memory
-/// chunks — the read/flush/backpressure path of either serving mode,
-/// minus the socket (whose blocking calls the qtag-check scheduler
-/// cannot preempt). The chunk-split and write-granularity invariance
-/// property runs it twice over one byte stream, and the qtag-check
-/// models interleave it against the shard appliers.
+/// chunks, one [`serve_event`] per wakeup as a worker does — minus the
+/// socket (whose blocking calls the qtag-check scheduler cannot
+/// preempt). Like a worker, it drains once it sees the shutdown flag.
+/// The chunk-split and write-granularity invariance property runs it
+/// twice over one byte stream, and the qtag-check models interleave it
+/// against the shard appliers.
 ///
 /// `write_cap` bounds each scripted ack write (small values force
 /// partial flushes and read pauses). Returns the ack bytes the client
@@ -412,9 +441,20 @@ pub fn reactor_chunks(
     let mut state = ConnState::new();
     // Each chunk plays one read, so the read buffer holds the longest.
     let mut scratch = vec![0u8; chunks.iter().map(Vec::len).max().unwrap_or(0)];
-    // One "readable event" per iteration: budget 1 read, like a worker
-    // seeing one level-triggered wakeup per scripted chunk.
-    while let Ok(ReadOutcome::Open) = state.on_readable(&mut io, &ctx, &mut scratch, 1) {
+    loop {
+        // ordering: Acquire, as the worker's load of the same flag.
+        let draining = ctx.shutdown.load(Ordering::Acquire);
+        if serve_event(
+            &mut state,
+            &mut io,
+            &ctx,
+            &mut scratch,
+            true,
+            false,
+            draining,
+        ) {
+            break;
+        }
         // One "writable event" whenever a flush is parked; the
         // scripted writer guarantees progress every other call, so
         // the pause always lifts.
@@ -550,6 +590,32 @@ mod tests {
         assert_eq!(snap.acked_connections, 0);
         assert_eq!(ingest.beacons + ingest.shed_beacons, 20);
         assert_eq!(r.store.unique_beacons(), 20);
+    }
+
+    /// The shutdown drain reads to EOF. With the flag already up, a
+    /// session whose frames arrive across quiet spells (every chunk is
+    /// followed by a `WouldBlock` read) lands whole; a drain that closed
+    /// the connection the first time its socket went quiet kept only
+    /// the first frame.
+    #[test]
+    fn shutdown_drain_reads_past_quiet_spells_to_eof() {
+        let r = rig();
+        r.shutdown.store(true, Ordering::Release);
+        let chunks: Vec<Vec<u8>> = (1..=3)
+            .map(|id| encode_frames(&[beacon(id, 0)]).unwrap())
+            .collect();
+        reactor_chunks(
+            Arc::clone(&r.cfg),
+            Arc::clone(&r.stats),
+            r.service.inlet(),
+            Arc::clone(&r.shutdown),
+            &chunks,
+            64,
+        );
+        r.service.shutdown();
+        let snap = r.stats.snapshot();
+        assert_eq!(snap.frames_decoded, 3, "{snap:?}");
+        assert_eq!(r.store.unique_beacons(), 3);
     }
 
     /// A line nested far past the JSON parser's depth limit, under a

@@ -13,12 +13,12 @@ use serde::Serialize;
 pub use qtag_server::{IngestMetrics, IngestStats};
 
 qtag_obs::counters! {
-    /// Live counters maintained by the acceptor and connection
-    /// threads. All counters are monotone except `connections_active`
+    /// Live counters maintained by the acceptor and the reactor
+    /// workers. All counters are monotone except `connections_active`
     /// (a gauge). Exported through a registry under the
     /// `qtag_collectd` prefix via [`CollectorStats::register`].
     pub struct CollectorStats / CollectorStatsSnapshot {
-        connections_accepted: counter("Connections accepted and handed to a reader thread."),
+        connections_accepted: counter("Connections accepted and handed to a reactor worker."),
         connections_active: gauge("Currently served connections."),
         connections_rejected: counter("Connections refused because max_connections was reached."),
         connections_timed_out: counter("Connections dropped after exhausting their read-timeout budget."),
@@ -29,9 +29,9 @@ qtag_obs::counters! {
         corrupt_frame_bytes: counter("Bytes discarded as whole corrupt binary frames (header plus payload of each frame counted in corrupt_frames)."),
         acked_connections: counter("Connections that opted into the acked binary protocol by leading with the ACK_HELLO byte."),
         acks_sent: counter("Per-frame acknowledgements written back to acked clients (one per inlet-accepted frame, including re-acked duplicates)."),
-        ack_flushes: counter("Coalesced ack writes: each is one write_all carrying every ack generated during one read iteration. The amortisation ratio is acks_sent / ack_flushes."),
+        ack_flushes: counter("Coalesced ack writes: each is one fully drained ack buffer, carrying every ack generated since the last drain. The amortisation ratio is acks_sent / ack_flushes."),
         accept_errors: counter("accept(2) failures other than an empty backlog (EMFILE/ENFILE fd exhaustion, ECONNABORTED, ...). Each earns a backoff sleep instead of a hot respin; sustained growth means the daemon is shedding accepts under fd pressure."),
-        ack_backpressure_pauses: counter("Reactor connections whose reads were paused because the pending-ack write buffer exceeded ack_buffer_cap (a client reading its acks too slowly); each pause-resume cycle counts once."),
+        ack_backpressure_pauses: counter("Connections whose reads were paused because the pending-ack write buffer exceeded ack_buffer_cap (a client reading its acks too slowly); each pause-resume cycle counts once."),
     }
 }
 

@@ -10,13 +10,13 @@
 //! connection state machine with its ack flush cursor, `FrameDecoder`,
 //! the per-read batching, `BeaconInlet::offer_batch`, the shard
 //! appliers, the ingest shutdown drain — is the real code, routed
-//! through the sync facades. Both serving modes drive that one
-//! machine, so `reactor_chunks` stands for a reader thread (every
-//! write completes: unbounded `write_cap`) as much as for a reactor
-//! slot (small `write_cap`: partial writes and parked flushes). Each
-//! model asserts the collector's conservation identities in *every*
-//! explored interleaving.
-#![cfg(all(qtag_check, target_os = "linux"))]
+//! through the sync facades. `reactor_chunks` serves the session one
+//! wakeup at a time as a reactor worker does; its `write_cap` picks
+//! how the client's socket takes the acks (unbounded: every write
+//! completes; small: partial writes and parked flushes). Each model
+//! asserts the collector's conservation identities in *every* explored
+//! interleaving.
+#![cfg(qtag_check)]
 
 use qtag_check::sync::atomic::AtomicBool;
 use qtag_check::sync::thread;
@@ -251,11 +251,10 @@ fn two_connections_conserve_jointly() {
 }
 
 /// Two acked connections sharing one inlet while the service shuts
-/// down, one as a reader thread sees its socket (every ack write
-/// completes) and one as a reactor worker does (4-byte partial writes,
-/// parked flushes): the two serving shapes must account jointly —
-/// mixed-mode deployments (rolling out `--reactor`) keep exactly-once
-/// semantics and ack every accepted frame.
+/// down, one whose socket takes every ack write whole and one that
+/// takes 4 bytes at a time (partial writes, parked flushes): the two
+/// write shapes must account jointly, keep exactly-once semantics and
+/// ack every accepted frame.
 #[test]
 fn mixed_mode_connections_conserve_jointly() {
     two_connections_conserve(true, [usize::MAX, 4]);

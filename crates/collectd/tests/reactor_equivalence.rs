@@ -4,12 +4,11 @@
 //! acks leaving in arbitrary partial writes must produce bit-identical
 //! accounting to delivering it in one read with one unbounded write:
 //! same decode/corrupt/resync counters, same applied beacons, same
-//! store contents, one ack per accepted frame. Both serving modes
-//! drive this one machine ([`qtag_collectd::reactor_chunks`] is its
-//! socket-free driver) and differ only in how the kernel happens to
-//! slice reads and writes for them — which is exactly what this
-//! property says cannot matter.
-#![cfg(target_os = "linux")]
+//! store contents, one ack per accepted frame.
+//! [`qtag_collectd::reactor_chunks`] is the machine's socket-free
+//! driver, and the kernel may slice a real socket's reads and writes
+//! any way it likes — which is exactly what this property says cannot
+//! matter.
 
 use proptest::prelude::*;
 use qtag_collectd::sync::atomic::AtomicBool;

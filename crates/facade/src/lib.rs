@@ -59,7 +59,7 @@ pub mod server {
     pub use qtag_server::*;
 }
 
-/// The beacon-collector daemon (threaded and epoll-reactor modes).
+/// The beacon-collector daemon (epoll reactor workers, Linux only).
 pub mod collectd {
     pub use qtag_collectd::*;
 }

@@ -51,7 +51,10 @@
 //! writer rewinds a failed write to its last whole frame, so later
 //! batches still replay; a writer that cannot rewind is poisoned, and
 //! the records of every batch it then refuses are counted
-//! (`records_unjournaled`) until compaction replaces its log.
+//! (`records_unjournaled`) until compaction replaces its log. A
+//! compaction that puts its snapshot in place but cannot replace the
+//! log poisons the writer the same way (and counts one `io_errors`):
+//! recovery would discard that log as stale.
 
 use crate::record::{encode_ack, encode_beacon, encode_served, WalRecord};
 use crate::rollup::{ShardRollup, HOURS_PER_DAY};
@@ -471,7 +474,16 @@ impl DurableBackend {
             fraction,
         };
         write_snapshot(&inner.dir, shard, &snap)?;
-        j.writer.reset_to_epoch(epoch)?;
+        if let Err(e) = j.writer.reset_to_epoch(epoch) {
+            // The epoch-`epoch` snapshot is in place, so recovery will
+            // discard the old log as stale: nothing appended to it can
+            // come back. Poison it, so every later record is counted
+            // in `records_unjournaled` until a compaction succeeds.
+            j.writer.poison();
+            // ordering: Relaxed — error tally, read via snapshots.
+            inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         // ordering: Relaxed — monotone statistic.
         inner.stats.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -856,6 +868,56 @@ mod tests {
         assert_eq!(report.records_replayed, 1);
         assert_eq!(recovered.store().unique_beacons(), 5);
         assert_eq!(recovered.store().verdict(1), (true, false));
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A compaction whose snapshot lands but whose log reset fails
+    /// (here: a directory squats on the reset's temp path) leaves the
+    /// old log behind a newer snapshot, so recovery discards it as
+    /// stale. Every record appended after the failure is lost on
+    /// restart, so each must be counted, not journaled in silence.
+    #[test]
+    fn a_compaction_that_cannot_reset_its_log_counts_what_follows() {
+        let dir = test_dir("backend_failed_reset");
+        let config = DurableConfig {
+            dir: dir.clone(),
+            shards: 1,
+            sync: SyncPolicy::NoSync,
+        };
+        let (backend, _) = DurableBackend::open(config.clone()).unwrap();
+        for id in 0..10 {
+            backend.record_served(served(id));
+            backend.apply(&beacon(id, 0));
+        }
+        std::fs::create_dir(wal_path(&dir, 0).with_extension("wal.tmp")).unwrap();
+        assert!(backend.compact().is_err());
+        for id in 10..20 {
+            backend.record_served(served(id));
+            backend.apply(&beacon(id, 0));
+        }
+        backend.flush().unwrap();
+        let stats = backend.stats().snapshot();
+        assert!(stats.io_errors >= 1, "{stats:?}");
+        assert_eq!(stats.compactions, 0, "{stats:?}");
+        assert_eq!(stats.records_unjournaled, 20, "10 served + 10 beacons");
+        assert_eq!(
+            backend.store().unique_beacons(),
+            20,
+            "the store kept serving"
+        );
+        drop(backend);
+
+        let (recovered, report) = DurableBackend::open(config).unwrap();
+        assert_eq!(report.stale_wals_discarded, 1, "{report:?}");
+        let store = recovered.store();
+        assert_eq!(store.served_count(), 10);
+        assert_eq!(store.unique_beacons(), 10);
+        let shard = store.shard(0).lock();
+        for id in 0..20 {
+            assert_eq!(shard.served(id).is_some(), id < 10, "impression {id}");
+        }
+        drop(shard);
         drop(recovered);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -315,9 +315,10 @@ pub struct WalWriter {
     /// last whole frame, where the next append starts.
     len: u64,
     /// A failed append could not be rewound to `len`, so the file may
-    /// end in a torn frame. Replay stops there, so nothing appended
-    /// behind it could ever be recovered: every later append is
-    /// refused.
+    /// end in a torn frame (replay stops there), or a compaction left
+    /// this log behind a newer snapshot (recovery discards it as
+    /// stale). Either way nothing appended from here on could ever be
+    /// recovered: every later append is refused.
     poisoned: bool,
     /// Test seam: the next write puts this many bytes of its frames in
     /// the file and then fails.
@@ -441,11 +442,19 @@ impl WalWriter {
         Ok(())
     }
 
-    /// `true` once a failed append could not be rewound: the log may
-    /// end in a torn frame, and [`WalWriter::append`] refuses every
-    /// batch until compaction replaces the log.
+    /// `true` once a failed append could not be rewound, or a
+    /// compaction put a newer snapshot in place but could not replace
+    /// this log: nothing appended from here on could be recovered, so
+    /// [`WalWriter::append`] refuses every batch until compaction
+    /// replaces the log.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
+    }
+
+    /// Refuses every later append until [`WalWriter::reset_to_epoch`]
+    /// succeeds (see [`WalWriter::is_poisoned`]).
+    pub(crate) fn poison(&mut self) {
+        self.poisoned = true;
     }
 
     fn write_frames(&mut self, framed: &[u8]) -> io::Result<()> {
