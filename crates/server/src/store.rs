@@ -395,6 +395,13 @@ impl ImpressionStore {
         self.slots.len()
     }
 
+    /// Makes room for at least `additional` more served impressions,
+    /// so a caller that knows how many it will register (recovery)
+    /// sizes the table once instead of growing it by doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+    }
+
     /// Beacons that referenced unknown impressions.
     pub fn orphan_beacons(&self) -> u64 {
         self.orphan_beacons

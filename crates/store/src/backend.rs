@@ -58,10 +58,10 @@
 
 use crate::record::{encode_ack, encode_beacon, encode_served, WalRecord};
 use crate::rollup::{ShardRollup, HOURS_PER_DAY};
-use crate::snapshot::{read_snapshot, write_snapshot, ShardSnapshot};
+use crate::snapshot::{place_snapshot, read_snapshot, ShardSnapshot};
 use crate::sync::atomic::Ordering;
 use crate::sync::{thread, Arc, Mutex};
-use crate::wal::{wal_path, SyncPolicy, WalStream, WalWriter};
+use crate::wal::{served_hint, sync_dir, wal_path, SyncPolicy, WalStream, WalWriter};
 use crate::StoreStats;
 use qtag_obs::HistogramSnapshot;
 use qtag_server::{
@@ -187,14 +187,21 @@ struct DurableInner {
 }
 
 impl DurableInner {
-    /// Journals one pre-framed buffer on shard `shard` and settles the
-    /// stats. Caller holds the shard's store lock.
-    fn journal_bytes(&self, shard: usize, framed: &[u8], records: usize) {
+    /// Journals one record on shard `shard`: `encode` frames it into
+    /// the journal's reused scratch buffer (and may fold it into the
+    /// rollup), then the frame is appended and the stats settled.
+    /// Caller holds the shard's store lock.
+    fn journal_one(&self, shard: usize, encode: impl FnOnce(&mut Vec<u8>, &mut ShardRollup)) {
         let mut j = self.journals[shard].lock();
-        self.journal_locked(&mut j, shard, framed, records);
+        let mut framed = std::mem::take(&mut j.scratch);
+        framed.clear();
+        encode(&mut framed, &mut j.rollup);
+        self.journal_locked(&mut j, shard, &framed, 1);
+        j.scratch = framed;
     }
 
-    /// Same, with the journal lock already held.
+    /// Journals a pre-framed buffer of `records` records on shard
+    /// `shard` and settles the stats, with the journal lock held.
     fn journal_locked(
         &self,
         j: &mut ShardJournalState,
@@ -473,12 +480,15 @@ impl DurableBackend {
             exposure,
             fraction,
         };
-        write_snapshot(&inner.dir, shard, &snap)?;
-        if let Err(e) = j.writer.reset_to_epoch(epoch) {
+        place_snapshot(&inner.dir, shard, &snap)?;
+        if let Err(e) = sync_dir(&inner.dir).and_then(|()| j.writer.reset_to_epoch(epoch)) {
             // The epoch-`epoch` snapshot is in place, so recovery will
             // discard the old log as stale: nothing appended to it can
             // come back. Poison it, so every later record is counted
             // in `records_unjournaled` until a compaction succeeds.
+            // (Had the directory sync failed and power been lost, the
+            // old snapshot could come back instead; the records would
+            // be lost all the same.)
             j.writer.poison();
             // ordering: Relaxed — error tally, read via snapshots.
             inner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -509,9 +519,7 @@ impl StorageBackend for DurableBackend {
         let inner = &self.inner;
         let shard = inner.store.shard_of(s.impression_id);
         let mut st = inner.store.shard(shard).lock();
-        let mut framed = Vec::with_capacity(32);
-        encode_served(&s, &mut framed);
-        inner.journal_bytes(shard, &framed, 1);
+        inner.journal_one(shard, |framed, _| encode_served(&s, framed));
         st.record_served(s);
     }
 
@@ -520,22 +528,17 @@ impl StorageBackend for DurableBackend {
         let shard = inner.store.shard_of(beacon.impression_id);
         let mut st = inner.store.shard(shard).lock();
         let outcome = st.apply(beacon);
-        let mut j = inner.journals[shard].lock();
-        let mut framed = std::mem::take(&mut j.scratch);
-        framed.clear();
-        encode_beacon(beacon, &mut framed);
-        j.rollup.record(beacon, &outcome);
-        inner.journal_locked(&mut j, shard, &framed, 1);
-        j.scratch = framed;
+        inner.journal_one(shard, |framed, rollup| {
+            encode_beacon(beacon, framed);
+            rollup.record(beacon, &outcome);
+        });
     }
 
     fn append_ack(&self, impression_id: u64, seq: u16) {
         let inner = &self.inner;
         let shard = inner.store.shard_of(impression_id);
         let _st = inner.store.shard(shard).lock();
-        let mut framed = Vec::with_capacity(32);
-        encode_ack(impression_id, seq, &mut framed);
-        inner.journal_bytes(shard, &framed, 1);
+        inner.journal_one(shard, |framed, _| encode_ack(impression_id, seq, framed));
     }
 
     fn flush(&self) -> io::Result<()> {
@@ -663,6 +666,7 @@ fn recover_shard(dir: &Path, shards: usize, shard: usize) -> io::Result<ShardRec
     let mut rollup = ShardRollup::new();
     if let Some(snap) = read_snapshot(dir, shard)? {
         epoch = snap.epoch;
+        st.reserve(snap.served.len());
         for s in snap.served {
             check_route(shards, shard, s.impression_id)?;
             st.record_served(s);
@@ -713,6 +717,10 @@ fn recover_shard(dir: &Path, shards: usize, shard: usize) -> io::Result<ShardRec
                 ),
             ));
         } else {
+            // Sized once from a pass over the length prefixes, so
+            // replay never grows the table by doubling (see
+            // `wal::served_hint` for how far the hint can over-count).
+            st.reserve(served_hint(&path)?);
             let mut batch = Vec::with_capacity(APPLY_BATCH);
             while wal.next_records(&mut batch, APPLY_BATCH)? > 0 {
                 report.records_replayed += batch.len() as u64;
@@ -879,7 +887,26 @@ mod tests {
     /// restart, so each must be counted, not journaled in silence.
     #[test]
     fn a_compaction_that_cannot_reset_its_log_counts_what_follows() {
-        let dir = test_dir("backend_failed_reset");
+        compaction_failure_counts_what_follows("backend_failed_reset", |dir| {
+            std::fs::create_dir(wal_path(dir, 0).with_extension("wal.tmp")).unwrap();
+        });
+    }
+
+    /// The same when the snapshot is renamed into place but the
+    /// directory sync after the rename fails: the old log is stale
+    /// once the new snapshot is read, so the writer is poisoned.
+    #[test]
+    fn a_compaction_whose_directory_sync_fails_counts_what_follows() {
+        compaction_failure_counts_what_follows("backend_failed_dir_sync", |_| {
+            crate::wal::FAIL_NEXT_DIR_SYNC.with(|fail| fail.set(true));
+        });
+    }
+
+    /// Journals 10 impressions, plants a failure with `plant`, compacts
+    /// (which must fail), journals 10 more, and checks the tallies and
+    /// what a reopen recovers.
+    fn compaction_failure_counts_what_follows(tag: &str, plant: impl FnOnce(&Path)) {
+        let dir = test_dir(tag);
         let config = DurableConfig {
             dir: dir.clone(),
             shards: 1,
@@ -890,7 +917,7 @@ mod tests {
             backend.record_served(served(id));
             backend.apply(&beacon(id, 0));
         }
-        std::fs::create_dir(wal_path(&dir, 0).with_extension("wal.tmp")).unwrap();
+        plant(&dir);
         assert!(backend.compact().is_err());
         for id in 10..20 {
             backend.record_served(served(id));

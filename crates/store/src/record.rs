@@ -91,39 +91,39 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// Opens a frame in `out`: reserves the `[len][crc]` header and returns
-/// the offset where [`end_frame`] must patch it once the payload has
-/// been appended. The encoders write payloads straight into `out` — no
-/// per-record heap allocation; they run per beacon inside the shard
-/// journal's critical section.
-fn begin_frame(out: &mut Vec<u8>) -> usize {
-    let header_at = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-    header_at
-}
+/// Payload bytes of a served record.
+pub(crate) const SERVED_PAYLOAD_LEN: usize = 17;
+/// Payload bytes of a beacon record: kind and the wire encoding.
+const BEACON_PAYLOAD_LEN: usize = 1 + binary::ENCODED_LEN;
+/// Payload bytes of an ack record.
+const ACK_PAYLOAD_LEN: usize = 11;
 
-/// Seals the frame opened at `header_at`: patches the payload length
-/// and CRC over everything appended since.
-fn end_frame(out: &mut [u8], header_at: usize) {
-    let payload_at = header_at + FRAME_HEADER_LEN;
-    let payload_len = out.len() - payload_at;
+/// Seals a frame built whole in a stack array: writes the payload
+/// length and the CRC-32 over the payload (everything behind the
+/// header; its first byte is the kind) into the header, and appends the
+/// frame to `out` in one copy. The encoders run per record inside the
+/// shard journal's critical section, so they allocate nothing and
+/// touch `out` once.
+fn seal<const N: usize>(mut frame: [u8; N], out: &mut Vec<u8>) {
+    let payload_len = N - FRAME_HEADER_LEN;
     debug_assert!(payload_len > 0 && payload_len <= MAX_PAYLOAD_LEN);
-    let crc = crc32(&out[payload_at..]);
-    out[header_at..header_at + 4].copy_from_slice(&(payload_len as u32).to_be_bytes());
-    out[header_at + 4..payload_at].copy_from_slice(&crc.to_be_bytes());
+    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
+    frame[..4].copy_from_slice(&(payload_len as u32).to_be_bytes());
+    frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+    out.extend_from_slice(&frame);
 }
 
 /// Appends the framed encoding of a served-impression record to `out`.
 pub fn encode_served(s: &ServedImpression, out: &mut Vec<u8>) {
-    let frame = begin_frame(out);
-    out.push(KIND_SERVED);
-    out.extend_from_slice(&s.impression_id.to_be_bytes());
-    out.extend_from_slice(&s.campaign_id.to_be_bytes());
-    out.push(s.os.code());
-    out.push(s.browser.code());
-    out.push(s.site_type.code());
-    out.push(s.ad_format.code());
-    end_frame(out, frame);
+    let mut f = [0u8; FRAME_HEADER_LEN + SERVED_PAYLOAD_LEN];
+    f[8] = KIND_SERVED;
+    f[9..17].copy_from_slice(&s.impression_id.to_be_bytes());
+    f[17..21].copy_from_slice(&s.campaign_id.to_be_bytes());
+    f[21] = s.os.code();
+    f[22] = s.browser.code();
+    f[23] = s.site_type.code();
+    f[24] = s.ad_format.code();
+    seal(f, out);
 }
 
 /// Appends the framed encoding of a beacon record to `out`.
@@ -133,25 +133,25 @@ pub fn encode_served(s: &ServedImpression, out: &mut Vec<u8>) {
 /// the journal already passed wire decoding or validation, so an
 /// unencodable beacon is a logic error, not an IO condition.
 pub fn encode_beacon(b: &Beacon, out: &mut Vec<u8>) {
-    let frame = begin_frame(out);
-    out.push(KIND_BEACON);
-    binary::encode(b, out).expect("journaled beacon encodes");
-    end_frame(out, frame);
+    let mut f = [0u8; FRAME_HEADER_LEN + BEACON_PAYLOAD_LEN];
+    f[8] = KIND_BEACON;
+    f[9..].copy_from_slice(&binary::encode_array(b).expect("journaled beacon encodes"));
+    seal(f, out);
 }
 
 /// Appends the framed encoding of an ack record to `out`.
 pub fn encode_ack(impression_id: u64, seq: u16, out: &mut Vec<u8>) {
-    let frame = begin_frame(out);
-    out.push(KIND_ACK);
-    out.extend_from_slice(&impression_id.to_be_bytes());
-    out.extend_from_slice(&seq.to_be_bytes());
-    end_frame(out, frame);
+    let mut f = [0u8; FRAME_HEADER_LEN + ACK_PAYLOAD_LEN];
+    f[8] = KIND_ACK;
+    f[9..17].copy_from_slice(&impression_id.to_be_bytes());
+    f[17..19].copy_from_slice(&seq.to_be_bytes());
+    seal(f, out);
 }
 
 fn decode_payload(payload: &[u8]) -> Result<WalRecord, RecordError> {
     match payload.first().copied() {
         Some(KIND_SERVED) => {
-            if payload.len() != 17 {
+            if payload.len() != SERVED_PAYLOAD_LEN {
                 return Err(RecordError::BadPayload);
             }
             let impression_id = u64::from_be_bytes(payload[1..9].try_into().unwrap());
@@ -173,7 +173,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, RecordError> {
             }))
         }
         Some(KIND_BEACON) => {
-            if payload.len() != 1 + binary::ENCODED_LEN {
+            if payload.len() != BEACON_PAYLOAD_LEN {
                 return Err(RecordError::BadPayload);
             }
             binary::decode(&payload[1..])
@@ -181,7 +181,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, RecordError> {
                 .map_err(|_| RecordError::BadPayload)
         }
         Some(KIND_ACK) => {
-            if payload.len() != 11 {
+            if payload.len() != ACK_PAYLOAD_LEN {
                 return Err(RecordError::BadPayload);
             }
             Ok(WalRecord::Ack {

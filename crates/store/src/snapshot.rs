@@ -32,6 +32,7 @@
 //! recovery error (unlike a torn WAL tail there is no safe prefix to
 //! salvage — better to stop than to silently drop a shard's history).
 
+use crate::wal::sync_dir;
 use qtag_server::{
     BucketStats, ImpressionRecord, SeqSeen, ServedImpression, Timeline, TimelineState,
 };
@@ -346,8 +347,17 @@ fn decode_body(body: &[u8], epoch: u64) -> io::Result<ShardSnapshot> {
 }
 
 /// Writes shard `shard`'s snapshot durably: temp file, fsync, atomic
-/// rename over `shard-NNN.snap`.
+/// rename over `shard-NNN.snap`, fsync of the directory.
 pub fn write_snapshot(dir: &Path, shard: usize, snap: &ShardSnapshot) -> io::Result<()> {
+    place_snapshot(dir, shard, snap)?;
+    sync_dir(dir)
+}
+
+/// [`write_snapshot`] up to the rename, without the directory sync:
+/// compaction syncs the directory itself, because once the snapshot is
+/// in place a failure means something else (see
+/// `DurableBackend::compact_shard`).
+pub(crate) fn place_snapshot(dir: &Path, shard: usize, snap: &ShardSnapshot) -> io::Result<()> {
     let body = encode_body(snap);
     let mut bytes = Vec::with_capacity(16 + body.len() + 4);
     bytes.extend_from_slice(&SNAP_MAGIC);

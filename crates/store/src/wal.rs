@@ -295,6 +295,65 @@ impl<R: Read> WalStream<R> {
     }
 }
 
+/// How many served records the log at `path` holds, give or take: a
+/// capacity hint that lets recovery size a shard's table once, before
+/// it replays the log.
+///
+/// One sequential pass through a [`READ_CHUNK`] buffer hops from
+/// length prefix to length prefix, past the header, and counts the
+/// frames whose payload is a served record's 17 bytes with kind
+/// [`record::KIND_SERVED`]. It stops at the first length outside
+/// `1..=MAX_PAYLOAD_LEN`, or where less than a frame header and kind
+/// byte remains. It checks no CRC and decodes nothing: the count only
+/// sizes a table, and replay still checks every frame.
+///
+/// The hint over-counts in two ways: frames inside a torn tail that
+/// still hop cleanly (replay stops at the first bad one), and ids
+/// registered twice (counted each time, one row in the table). Every
+/// counted frame spans at least 25 bytes of the file, so the hint never
+/// exceeds `(file_len - WAL_HEADER_LEN) / 25`. That bound needs no pass,
+/// but on a log of mostly beacons it is several times the rows replay
+/// inserts, and a table reserved that large touches pages it never
+/// fills.
+pub fn served_hint(path: &Path) -> io::Result<usize> {
+    count_served(File::open(path)?)
+}
+
+fn count_served<R: Read>(mut src: R) -> io::Result<usize> {
+    /// Bytes that classify a frame: length, CRC, kind.
+    const PEEK: usize = record::FRAME_HEADER_LEN + 1;
+    let mut buf =
+        Vec::with_capacity(READ_CHUNK + record::FRAME_HEADER_LEN + record::MAX_PAYLOAD_LEN);
+    // Offset of the next frame in `buf`; past its end while a hop
+    // skips bytes not read yet.
+    let mut at = WAL_HEADER_LEN;
+    let mut served = 0;
+    loop {
+        if let Some(head) = buf.get(at..at + PEEK) {
+            let len = u32::from_be_bytes([head[0], head[1], head[2], head[3]]) as usize;
+            if len == 0 || len > record::MAX_PAYLOAD_LEN {
+                return Ok(served);
+            }
+            let end = at + record::FRAME_HEADER_LEN + len;
+            let is_served = len == record::SERVED_PAYLOAD_LEN
+                && head[record::FRAME_HEADER_LEN] == record::KIND_SERVED;
+            // A served frame counts once all of it has been read, so
+            // every count stands for 25 bytes of the file.
+            if !is_served || end <= buf.len() {
+                served += usize::from(is_served);
+                at = end;
+                continue;
+            }
+        }
+        let consumed = at.min(buf.len());
+        buf.drain(..consumed);
+        at -= consumed;
+        if !read_chunk(&mut src, &mut buf, READ_CHUNK)? {
+            return Ok(served);
+        }
+    }
+}
+
 /// Appends up to `chunk` bytes of `src` to `buf`; `Ok(false)` when
 /// `src` had none left.
 fn read_chunk<R: Read>(src: &mut R, buf: &mut Vec<u8>, chunk: usize) -> io::Result<bool> {
@@ -511,6 +570,7 @@ impl WalWriter {
         f.write_all(&encode_header(self.shard, epoch))?;
         f.sync_data()?;
         std::fs::rename(&tmp, &self.path)?;
+        sync_dir(self.path.parent().unwrap_or(Path::new("")))?;
         f.seek(SeekFrom::Start(WAL_HEADER_LEN as u64))?;
         self.file = f;
         self.epoch = epoch;
@@ -518,6 +578,28 @@ impl WalWriter {
         self.poisoned = false;
         Ok(())
     }
+}
+
+/// Makes the renames inside `dir` durable: a rename reaches the disk
+/// with the directory's entries, not with the file, so without this a
+/// power loss can bring back the file a compaction replaced.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    #[cfg(test)]
+    if FAIL_NEXT_DIR_SYNC.with(|fail| fail.replace(false)) {
+        return Err(io::Error::other("failed directory sync (test seam)"));
+    }
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    File::open(dir)?.sync_all()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test seam: the calling thread's next [`sync_dir`] fails.
+    pub(crate) static FAIL_NEXT_DIR_SYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 #[cfg(test)]
@@ -550,17 +632,7 @@ mod tests {
         let dir = test_dir("wal_round_trip");
         let mut w = WalWriter::open(&dir, 0, 0, None, SyncPolicy::Batch).unwrap();
         let mut framed = Vec::new();
-        encode_served(
-            &ServedImpression {
-                impression_id: 9,
-                campaign_id: 2,
-                os: OsKind::Ios,
-                browser: BrowserKind::Safari,
-                site_type: SiteType::App,
-                ad_format: AdFormat::Video,
-            },
-            &mut framed,
-        );
+        encode_served(&served(9), &mut framed);
         for seq in 0..5 {
             encode_beacon(&beacon(9, seq), &mut framed);
         }
@@ -747,21 +819,22 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn served(id: u64) -> ServedImpression {
+        ServedImpression {
+            impression_id: id,
+            campaign_id: 2,
+            os: OsKind::Ios,
+            browser: BrowserKind::Safari,
+            site_type: SiteType::App,
+            ad_format: AdFormat::Video,
+        }
+    }
+
     /// A log as `WalWriter` lays it out: header, then one framed
     /// record of each kind and a run of beacons.
     fn sample_log() -> Vec<u8> {
         let mut bytes = encode_header(2, 9).to_vec();
-        encode_served(
-            &ServedImpression {
-                impression_id: 9,
-                campaign_id: 2,
-                os: OsKind::Ios,
-                browser: BrowserKind::Safari,
-                site_type: SiteType::App,
-                ad_format: AdFormat::Video,
-            },
-            &mut bytes,
-        );
+        encode_served(&served(9), &mut bytes);
         for seq in 0..8 {
             encode_beacon(&beacon(9, seq), &mut bytes);
         }
@@ -845,6 +918,47 @@ mod tests {
                     bytes.len()
                 );
             }
+        }
+    }
+
+    /// The size hint over the hostile corpus: never fewer served
+    /// frames than replay keeps, never more than the bytes can hold.
+    /// Over a log long enough to need several reads, cut at every byte
+    /// around the first read's end, it counts exactly the served frames
+    /// the cut left whole.
+    #[test]
+    fn served_hint_covers_replay_within_the_bound_across_reads() {
+        let served_frame = record::FRAME_HEADER_LEN + record::SERVED_PAYLOAD_LEN;
+        for (i, bytes) in hostile_corpus().iter().enumerate() {
+            let Ok(r) = replay_in_chunks(bytes, bytes.len().max(1)) else {
+                continue;
+            };
+            let replayed = r
+                .records
+                .iter()
+                .filter(|rec| matches!(rec, WalRecord::Served(_)))
+                .count();
+            let hint = count_served(&bytes[..]).unwrap();
+            assert!(hint >= replayed, "corpus entry {i}: {hint} < {replayed}");
+            assert!(hint <= (bytes.len() - WAL_HEADER_LEN) / served_frame);
+        }
+
+        let mut log = encode_header(0, 0).to_vec();
+        let mut served_ends = Vec::new();
+        for n in 0..3_000u64 {
+            encode_beacon(&beacon(n, 0), &mut log);
+            if n % 3 == 0 {
+                encode_served(&served(n), &mut log);
+                served_ends.push(log.len());
+            }
+            if n % 7 == 0 {
+                encode_ack(n, 0, &mut log);
+            }
+        }
+        assert!(log.len() > 2 * READ_CHUNK);
+        for cut in (READ_CHUNK - 64..READ_CHUNK + 64).chain([log.len()]) {
+            let whole = served_ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(count_served(&log[..cut]).unwrap(), whole, "cut at {cut}");
         }
     }
 

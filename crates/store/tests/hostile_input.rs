@@ -6,7 +6,10 @@
 //! `record::decode_frame` returns a record or a [`RecordError`] and
 //! `wal::replay` returns a header error or a torn-tail [`Replay`]
 //! holding exactly the intact prefix. Neither panics, and a corrupted
-//! beacon frame is never accepted as data.
+//! beacon frame is never accepted as data. `wal::served_hint`, the
+//! served count recovery sizes a shard's table by, counts an intact
+//! log's served records exactly, and on a damaged one never fewer than
+//! replay keeps nor more than the file's bytes can hold.
 //!
 //! A snapshot file is untrusted the same way. Whatever a damaged
 //! `shard-000.snap` holds, `read_snapshot` returns a snapshot or an
@@ -21,7 +24,7 @@ use proptest::prelude::*;
 use qtag_server::{SeqSeen, ServedImpression};
 use qtag_store::record::{self, decode_frame, RecordError, WalRecord};
 use qtag_store::snapshot::snapshot_path;
-use qtag_store::wal::{replay, wal_path, Replay, WalWriter, WAL_HEADER_LEN};
+use qtag_store::wal::{replay, served_hint, wal_path, Replay, WalWriter, WAL_HEADER_LEN};
 use qtag_store::{
     crc32, read_snapshot, DurableBackend, DurableConfig, ShardSnapshot, StorageBackend, SyncPolicy,
 };
@@ -115,6 +118,15 @@ fn frame_all(records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
 /// Writes a real WAL holding `records`, lets `mutate` damage its bytes
 /// on disk, and replays it.
 fn replay_damaged(records: &[WalRecord], mutate: impl FnOnce(&mut Vec<u8>)) -> Replay {
+    hint_and_replay(records, mutate).1
+}
+
+/// [`replay_damaged`], plus the recovery table's size hint read from
+/// the damaged file and the file's length.
+fn hint_and_replay(
+    records: &[WalRecord],
+    mutate: impl FnOnce(&mut Vec<u8>),
+) -> (usize, Replay, usize) {
     let dir = test_dir("replay");
     let mut w = WalWriter::open(&dir, 0, 0, None, SyncPolicy::NoSync).expect("open wal");
     let (framed, _) = frame_all(records);
@@ -124,10 +136,25 @@ fn replay_damaged(records: &[WalRecord], mutate: impl FnOnce(&mut Vec<u8>)) -> R
     let mut bytes = std::fs::read(&path).expect("read wal");
     mutate(&mut bytes);
     std::fs::write(&path, &bytes).expect("write damaged wal");
+    let hint = served_hint(&path).expect("the hint reads the file");
     let r = replay(&path).expect("a valid header replays");
     assert_eq!(r.valid_len + r.discarded_bytes, bytes.len() as u64);
     std::fs::remove_dir_all(&dir).expect("remove test dir");
-    r
+    (hint, r, bytes.len())
+}
+
+/// Served records among `records`.
+fn served_in(records: &[WalRecord]) -> usize {
+    records
+        .iter()
+        .filter(|r| matches!(r, WalRecord::Served(_)))
+        .count()
+}
+
+/// The most served frames a log of `len` bytes can hold: each takes
+/// 25 bytes behind the header.
+fn hint_bound(len: usize) -> usize {
+    len.saturating_sub(WAL_HEADER_LEN) / (record::FRAME_HEADER_LEN + 17)
 }
 
 proptest! {
@@ -215,6 +242,70 @@ proptest! {
         prop_assert_eq!(&r.records[..], &records[..whole]);
         let on_boundary = cut == 0 || ends.contains(&cut);
         prop_assert_eq!(r.torn.is_some(), !on_boundary);
+    }
+
+    /// On an intact log the size hint recovery reserves by is exactly
+    /// the number of served records replay registers.
+    #[test]
+    fn served_hint_counts_an_intact_log_exactly(
+        records in prop::collection::vec(arb_record(), 0..24),
+    ) {
+        let (hint, r, _) = hint_and_replay(&records, |_| {});
+        prop_assert!(r.torn.is_none());
+        prop_assert_eq!(hint, served_in(&records));
+        prop_assert_eq!(hint, served_in(&r.records));
+    }
+
+    /// A flipped byte or a cut tail: the hint still counts every served
+    /// record replay keeps, and never more frames than the file's bytes
+    /// could hold.
+    #[test]
+    fn served_hint_on_a_damaged_tail_covers_replay_within_the_bound(
+        records in prop::collection::vec(arb_record(), 1..24),
+        at in any::<u32>(),
+        flip in 0u8..=255,
+    ) {
+        let (framed, _) = frame_all(&records);
+        let pos = at as usize % framed.len();
+        // flip 0 cuts the log at `pos` instead.
+        let (hint, r, len) = hint_and_replay(&records, |bytes| {
+            if flip == 0 {
+                bytes.truncate(WAL_HEADER_LEN + pos);
+            } else {
+                bytes[WAL_HEADER_LEN + pos] ^= flip;
+            }
+        });
+        prop_assert!(hint >= served_in(&r.records), "hint {} < replayed {}", hint, served_in(&r.records));
+        prop_assert!(hint <= hint_bound(len), "hint {} over the bound for {} bytes", hint, len);
+    }
+
+    /// Arbitrary bytes behind a valid header: the hint never panics and
+    /// never exceeds the bound. Some pieces of the noise are 25-byte
+    /// frames with a served length and kind (and a random CRC), so hops
+    /// land on frames the hint counts.
+    #[test]
+    fn served_hint_never_panics_or_overshoots_on_noise(
+        pieces in prop::collection::vec((any::<bool>(), prop::collection::vec(any::<u8>(), 0..40)), 0..16),
+    ) {
+        let dir = test_dir("hint_noise");
+        drop(WalWriter::open(&dir, 0, 0, None, SyncPolicy::NoSync).expect("open wal"));
+        let path = wal_path(&dir, 0);
+        let mut bytes = std::fs::read(&path).expect("read wal");
+        for (served_shaped, noise) in pieces {
+            if served_shaped {
+                bytes.extend_from_slice(&17u32.to_be_bytes());
+                let mut rest = noise;
+                rest.resize(4 + 17, 0);
+                rest[4] = record::KIND_SERVED;
+                bytes.extend_from_slice(&rest);
+            } else {
+                bytes.extend_from_slice(&noise);
+            }
+        }
+        std::fs::write(&path, &bytes).expect("write wal");
+        let hint = served_hint(&path).expect("the hint reads the file");
+        prop_assert!(hint <= hint_bound(bytes.len()), "hint {} over the bound for {} bytes", hint, bytes.len());
+        std::fs::remove_dir_all(&dir).expect("remove test dir");
     }
 
     /// Arbitrary bytes behind a valid header, and arbitrary bytes as

@@ -34,7 +34,7 @@ pub const VERSION: u8 = 1;
 pub const ENCODED_LEN: usize = 38;
 
 /// Encodes a beacon into a stack array: validate, fields, CRC.
-pub(crate) fn encode_array(beacon: &Beacon) -> Result<[u8; ENCODED_LEN], WireError> {
+pub fn encode_array(beacon: &Beacon) -> Result<[u8; ENCODED_LEN], WireError> {
     beacon.validate()?;
     let mut out = [0u8; ENCODED_LEN];
     out[0..2].copy_from_slice(&MAGIC);
